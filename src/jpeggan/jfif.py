@@ -230,6 +230,8 @@ def _encode_block(writer, zz, pred, dc_codes, ac_codes):
 def _decode_block(reader, pred, dc_dec, ac_dec):
     zz = np.zeros(64, dtype=np.int64)
     size = reader.huffman(dc_dec)
+    if size > 11:  # baseline DC categories are 0..11 (T.81, F.1.2.1)
+        raise ValueError(f"offset {reader.pos}: DC category {size} exceeds 11")
     zz[0] = pred + _extend(reader.bits(size), size)
     k = 1
     while k < 64:
@@ -242,6 +244,8 @@ def _decode_block(reader, pred, dc_dec, ac_dec):
                 raise ValueError(f"offset {reader.pos}: bad zero-size AC symbol {sym:#x}")
             k += 16
             continue
+        if size > 10:  # baseline AC sizes are 1..10 (T.81, F.1.2.2)
+            raise ValueError(f"offset {reader.pos}: AC size {size} exceeds 10")
         k += run
         if k > 63:
             raise ValueError(f"offset {reader.pos}: AC run overflows the block")
@@ -381,6 +385,8 @@ def decode_jfif(data: bytes) -> EncodedImage:
                 htables[(tc, th)] = (counts, symbols)
                 p += 17 + n
         elif marker == 0xC0:
+            if len(payload) < 15:  # header plus three 3-byte component specs
+                raise ValueError(f"offset {seg_offset}: truncated SOF0 segment")
             precision, height, width, ncomp = struct.unpack(">BHHB", payload[:6])
             if precision != 8 or ncomp != 3:
                 raise ValueError(f"offset {seg_offset}: only 8-bit 3-component baseline")
@@ -423,6 +429,9 @@ def decode_jfif(data: bytes) -> EncodedImage:
 
     mcu_rows = height // (8 * v_luma)
     mcu_cols = width // (8 * h_luma)
+    blocks = mcu_rows * mcu_cols * (h_luma * v_luma + 2)
+    if 2 * blocks > 8 * (len(data) - scan_start):  # a DC code and an AC code per block
+        raise ValueError(f"offset {scan_start}: scan too short for a {width}x{height} image")
     y = np.zeros((mcu_rows * v_luma, mcu_cols * h_luma, 8, 8), dtype=np.int64)
     cb = np.zeros((mcu_rows, mcu_cols, 8, 8), dtype=np.int64)
     cr = np.zeros((mcu_rows, mcu_cols, 8, 8), dtype=np.int64)

@@ -58,7 +58,7 @@ class Conv2d:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, self.b, stride=1, padding=self.padding)
+        return T.conv2d(x, self.w, self.b, padding=self.padding)
 
 
 class LocallyConnected:

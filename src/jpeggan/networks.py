@@ -244,12 +244,12 @@ def cast_params(net, dtype) -> None:
 
 
 def extract_anchor(gen: Generator) -> AnchorGenerator:
-    """Copy the generator's trunk into a frozen anchor generator."""
+    """Copy the generator's trunk, at its dtype, into a frozen anchor generator."""
     rng = np.random.default_rng(0)  # weights are overwritten below
     anchor = AnchorGenerator(gen.spec, rng)
     src = gen.trunk.params()
     for name, p in anchor.trunk.params().items():
-        p.data[...] = src[name].data
+        p.data = src[name].data.copy()
     anchor.freeze()
     return anchor
 

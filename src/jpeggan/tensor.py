@@ -19,6 +19,7 @@ escape hatch where a broadcast is genuinely wanted (bias addition).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -567,12 +568,13 @@ def crop2d(a: Tensor, pt: int, pb: int, pl: int, pr: int) -> Tensor:
     return _result(data, "crop2d", (a,), bw, check=False)
 
 
-def im2col(a: Tensor, kh: int, kw: int, sh: int = 1, sw: int = 1, ph: int = 0, pw: int = 0) -> Tensor:
-    """Extract sliding (kh, kw) patches: NCHW -> (N, OH*OW, C*kh*kw).
+def im2col(a: Tensor, kh: int, kw: int, ph: int = 0, pw: int = 0) -> Tensor:
+    """Stride-1 (kh, kw) patches, K-major: NCHW -> (C*kh*kw, N*OH*OW).
 
-    Patch rows are flattened in (C, kh, kw) order, matching how a
-    (O, C, kh, kw) kernel flattens to (O, C*kh*kw). Optional symmetric
-    zero padding (ph, pw) is applied before windowing.
+    Rows run in (C, kh, kw) order, as an (O, C, kh, kw) kernel flattens to
+    (O, C*kh*kw); columns in (N, OH, OW) order. K-major makes the window
+    copy move whole image rows (OW elements) rather than kw-element runs.
+    Optional symmetric zero padding (ph, pw) is applied before windowing.
     """
     if a.ndim != 4:
         raise ShapeError("im2col expects NCHW")
@@ -582,53 +584,52 @@ def im2col(a: Tensor, kh: int, kw: int, sh: int = 1, sw: int = 1, ph: int = 0, p
     Hp, Wp = H + 2 * ph, W + 2 * pw
     if Hp < kh or Wp < kw:
         raise ShapeError("kernel larger than input")
-    OH = (Hp - kh) // sh + 1
-    OW = (Wp - kw) // sw + 1
+    OH, OW = Hp - kh + 1, Wp - kw + 1
     x = np.pad(a.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else a.data
     sN, sC, sH, sW = x.strides
     win = np.lib.stride_tricks.as_strided(
         x,
-        shape=(N, OH, OW, C, kh, kw),
-        strides=(sN, sH * sh, sW * sw, sC, sH, sW),
+        shape=(C, kh, kw, N, OH, OW),
+        strides=(sC, sH, sW, sN, sH, sW),
         writeable=False,
     )
-    cols = win.reshape(N, OH * OW, C * kh * kw)
+    cols = win.reshape(C * kh * kw, N * OH * OW)
 
     def bw(g):
-        full = col2im(g, (N, C, Hp, Wp), kh, kw, sh, sw)
+        full = col2im(g, (N, C, Hp, Wp), kh, kw)
         return (crop2d(full, ph, ph, pw, pw) if ph or pw else full,)
 
     # the reshape of the strided window is itself the copy
     return _result(cols, "im2col", (a,), bw, check=False)
 
 
-def col2im(cols: Tensor, img_shape, kh: int, kw: int, sh: int = 1, sw: int = 1) -> Tensor:
-    """Adjoint of im2col: scatter-add patch rows back onto the image grid."""
+def col2im(cols: Tensor, img_shape, kh: int, kw: int) -> Tensor:
+    """Adjoint of im2col: kh*kw adds of contiguous (C, N, OH, OW) slabs into
+    a (C, N, H, W) buffer, returned as an NCHW view."""
     N, C, H, W = (int(v) for v in img_shape)
-    OH = (H - kh) // sh + 1
-    OW = (W - kw) // sw + 1
-    if cols.shape != (N, OH * OW, C * kh * kw):
-        raise ShapeError(f"col2im: got {cols.shape}, wanted {(N, OH * OW, C * kh * kw)}")
-    g = cols.data.reshape(N, OH, OW, C, kh, kw)
-    out = np.zeros((N, C, H, W), dtype=cols.data.dtype)
+    OH, OW = H - kh + 1, W - kw + 1
+    if cols.shape != (C * kh * kw, N * OH * OW):
+        raise ShapeError(f"col2im: got {cols.shape}, wanted {(C * kh * kw, N * OH * OW)}")
+    g = cols.data.reshape(C, kh, kw, N, OH, OW)
+    out = np.zeros((C, N, H, W), dtype=cols.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + sh * OH : sh, j : j + sw * OW : sw] += g[
-                :, :, :, :, i, j
-            ].transpose(0, 3, 1, 2)
+            out[:, :, i : i + OH, j : j + OW] += g[:, i, j]
 
     def bw(gg):
-        return (im2col(gg, kh, kw, sh, sw),)
+        return (im2col(gg, kh, kw),)
 
-    return _result(out, "col2im", (cols,), bw)
+    return _result(out.transpose(1, 0, 2, 3), "col2im", (cols,), bw)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation over NCHW with an OIHW kernel.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
+    """2-D stride-1 cross-correlation over NCHW with an OIHW kernel.
 
-    Lowered to one GEMM over im2col patches. The projection is a single tape
-    node whose backward is composed of differentiable ops, so second
-    derivatives (gradient-of-gradient) stay exact.
+    Lowered to one GEMM, W(O, K) @ cols(K, N*OH*OW), over K-major im2col
+    patches; the (O, N, OH, OW) product is returned as an NCHW view. The
+    projection is a single tape node whose backward is composed of
+    differentiable ops, so second derivatives (gradient-of-gradient) stay
+    exact.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW weight")
@@ -636,47 +637,42 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     O, I, kh, kw = w.shape
     if I != C:
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {I}")
-    if stride < 1:
-        raise ShapeError("conv2d: stride must be >= 1")
     if b is not None and b.shape != (O,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({O},)")
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    if Hp < kh or Wp < kw:
-        raise ShapeError("conv2d: kernel larger than padded input")
-    OH = (Hp - kh) // stride + 1
-    OW = (Wp - kw) // stride + 1
-    L, K = OH * OW, C * kh * kw
-    cols = im2col(x, kh, kw, stride, stride, padding, padding)  # (N, L, K)
+    cols = im2col(x, kh, kw, padding, padding)
+    K, NL = cols.shape
+    OH, OW = H + 2 * padding - kh + 1, W + 2 * padding - kw + 1
 
-    flat = cols.data.reshape(N * L, K)
-    out = flat @ w.data.reshape(O, K).T
+    out = w.data.reshape(O, K) @ cols.data
     if b is not None:
-        out += b.data
-    out = out.reshape(N, OH, OW, O).transpose(0, 3, 1, 2)
+        out += b.data[:, None]
+    out = out.reshape(O, N, OH, OW).transpose(1, 0, 2, 3)
 
     def bw(g):
-        gf = reshape(permute(g, (0, 2, 3, 1)), (N * L, O))
-        d_cols = reshape(matmul(gf, reshape(w, (O, K))), (N, L, K))
-        d_w = reshape(
-            transpose2d(matmul(transpose2d(reshape(cols, (N * L, K))), gf)),
-            (O, C, kh, kw),
-        )
+        gt = reshape(permute(g, (1, 0, 2, 3)), (O, NL))
+        d_cols = matmul(transpose2d(reshape(w, (O, K))), gt)
+        d_w = reshape(matmul(gt, transpose2d(cols)), (O, C, kh, kw))
         if b is None:
             return d_cols, d_w
-        return d_cols, d_w, sum_axes(gf, 0)
+        return d_cols, d_w, sum_axes(gt, 1)
 
     parents = (cols, w) if b is None else (cols, w, b)
     return _result(out, "conv2d", parents, bw)
 
 
 def avg_pool2d(a: Tensor, kh: int, kw: int) -> Tensor:
-    """Non-overlapping block-mean pooling; extents must divide evenly."""
+    """Non-overlapping block-mean pooling; extents must divide evenly.
+
+    Strided slices are summed within each block row, then across rows: for
+    2x2, 1x2 and 2x1 blocks that is numpy's block-mean order, bit for bit.
+    """
     if a.ndim != 4:
         raise ShapeError("avg_pool2d expects NCHW")
     N, C, H, W = a.shape
     if H % kh or W % kw:
         raise ShapeError(f"pool {kh}x{kw} does not tile {H}x{W}")
-    data = a.data.reshape(N, C, H // kh, kh, W // kw, kw).mean(axis=(3, 5))
+    rows = [reduce(np.add, [a.data[:, :, i::kh, j::kw] for j in range(kw)]) for i in range(kh)]
+    data = reduce(np.add, rows) / (kh * kw)
 
     def bw(g):
         return (scalar_mul(upsample_repeat2d(g, kh, kw), 1.0 / (kh * kw)),)

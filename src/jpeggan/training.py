@@ -390,13 +390,15 @@ def _run_adversarial(
                 )
                 grads = T.grad(g_loss, list(gen_params.values()), allow_unused=True)
                 opt_g.step({k: g.data for k, g in zip(gen_params, grads)})
+                g_val = float(g_loss.data)
+                del g_loss, fake_t  # free the generator's tape before the next critic pass
             except NonFiniteError as exc:
                 raise diverged(step, f"non-finite value in the graph: {exc}") from exc
 
             report = LossReport(
                 step=step,
                 d_loss=d_stats[0],
-                g_loss=float(g_loss.data),
+                g_loss=g_val,
                 anchor_term=anchor_val,
                 gp_term=d_stats[3],
                 mean_grad_norm=d_stats[4],

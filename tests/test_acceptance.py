@@ -8,6 +8,7 @@ import them from the package.
 """
 
 import io
+import os
 import time
 
 import numpy as np
@@ -26,7 +27,10 @@ from jpeggan.layers import (
 from jpeggan.rng import RngStreams
 from jpeggan.tensor import Tensor
 
-PIL = pytest.importorskip("PIL.Image")
+try:
+    import PIL.Image as PIL
+except ImportError:  # only the external-decoder half of test 6 needs Pillow
+    PIL = None
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -295,6 +299,7 @@ class TestCodecRoundTrip:
 
 
 class TestBitstreamInterop:
+    @pytest.mark.skipif(PIL is None, reason="Pillow is not installed")
     def test_6_jfif_files_roundtrip_and_decode_externally(self):
         t0 = time.time()
         spec = networks.GeneratorSpec(
@@ -448,6 +453,10 @@ class TestTrainingSanity:
             done += b
         return np.concatenate(out)
 
+    @pytest.mark.skipif(
+        os.environ.get("JPEGGAN_RUN_SLOW") != "1",
+        reason="about an hour of training; set JPEGGAN_RUN_SLOW=1 to run it",
+    )
     def test_9_two_phase_run_improves_and_stays_stable(self):
         t0 = time.time()
         data = datasets.synthetic_dataset(7, 1000, size=32).astype(np.float32)

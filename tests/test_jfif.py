@@ -4,11 +4,18 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpeggan import codec, datasets, jfif, jpeg
 from jpeggan.jpeg import EncodedImage
 
-PIL = pytest.importorskip("PIL.Image")
+try:
+    import PIL.Image as PIL
+except ImportError:  # the external-decoder checks need Pillow; the rest do not
+    PIL = None
+
+needs_pil = pytest.mark.skipif(PIL is None, reason="Pillow is not installed")
 
 
 def random_encoded(rng, qf=50, mode="4:4:4", h=32, w=32, dc=60, ac=4):
@@ -177,7 +184,48 @@ class TestErrors:
         with pytest.raises(ValueError):
             jfif.decode_jfif(stripped)
 
+    def test_extent_larger_than_scan_data(self):
+        data = bytearray(jfif.encode_jfif(random_encoded(np.random.default_rng(11))))
+        sof = data.index(b"\xff\xc0")
+        data[sof + 5] = data[sof + 7] = 0xFF  # height and width high bytes
+        with pytest.raises(ValueError, match="scan too short"):
+            jfif.decode_jfif(bytes(data))
 
+    @pytest.mark.parametrize(
+        "segment, symbol, match",
+        [(0, 200, "DC category 200"), (2, 0x0B, "AC size 11")],  # DC luma, AC luma
+    )
+    def test_out_of_range_huffman_symbols(self, segment, symbol, match):
+        enc = random_encoded(np.random.default_rng(10))
+        enc.y[0, 0] = 0
+        enc.y[0, 0, 0, :2] = 1  # first block: DC category 1, then AC symbol 0x01
+        data = bytearray(jfif.encode_jfif(enc))
+        pos = -1
+        for _ in range(segment + 1):  # DHT order: DC luma, DC chroma, AC luma, AC chroma
+            pos = data.index(b"\xff\xc4", pos + 1)
+        start = pos + 21  # marker, length, class/id byte, 16 code counts
+        symbols = data[start : start + sum(data[pos + 5 : start])]
+        data[start + symbols.index(1)] = symbol  # that code now decodes to `symbol`
+        with pytest.raises(ValueError, match=f"offset \\d+: {match}"):
+            jfif.decode_jfif(bytes(data))
+
+
+VALID_JFIF = jfif.encode_jfif(random_encoded(np.random.default_rng(21), mode="4:4:4", h=8, w=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(VALID_JFIF) - 1), st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupt_bytes_raise_only_value_error(edits):
+    data = bytearray(VALID_JFIF)
+    for pos, value in edits:
+        data[pos] = value
+    try:
+        jfif.decode_jfif(bytes(data))
+    except ValueError:
+        pass
+
+
+@needs_pil
 class TestExternalDecoder:
     def pil_decode_rgb(self, data: bytes) -> np.ndarray:
         with PIL.open(io.BytesIO(data)) as im:

@@ -99,16 +99,16 @@ class TestForward:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        y = T.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
+        y = T.conv2d(Tensor(x), Tensor(w), padding=1)
         assert np.allclose(y.data, x, atol=1e-12)
 
     def test_conv2d_matches_direct_summation(self):
         rng = np.random.default_rng(2)
-        N, C, H, W, O, k, s, p = 2, 3, 7, 6, 4, 3, 2, 1
+        N, C, H, W, O, k, s, p = 2, 3, 7, 6, 4, 3, 1, 1
         x = rng.normal(size=(N, C, H, W))
         w = rng.normal(size=(O, C, k, k))
         b = rng.normal(size=(O,))
-        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=s, padding=p).data
+        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         OH = (H + 2 * p - k) // s + 1
         OW = (W + 2 * p - k) // s + 1
@@ -128,6 +128,17 @@ class TestForward:
         z = T.upsample_repeat2d(Tensor(y), 2, 2).data
         assert z.shape == (1, 1, 4, 4)
         assert np.allclose(z[0, 0, :2, :2], 2.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avg_pool2d_bits_match_numpy_block_mean(self, dtype):
+        x = np.random.default_rng(3).uniform(-300, 300, size=(3, 2, 8, 12)).astype(dtype)
+        cnhw = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        for kh, kw in [(2, 2), (1, 2), (2, 1)]:
+            want = x.reshape(3, 2, 8 // kh, kh, 12 // kw, kw).mean(axis=(3, 5))
+            for arr in (x, cnhw):  # NCHW memory, and the layout conv2d returns
+                got = T.avg_pool2d(Tensor(arr), kh, kw).data
+                assert got.dtype == want.dtype
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_round_ste_half_away_from_zero(self):
         x = Tensor(np.array([0.5, -0.5, 1.5, -1.5, 2.49, -2.51]))
@@ -253,13 +264,13 @@ class TestGradientsAgainstFiniteDifferences:
         w = rng.normal(size=(2, 3, 3, 3))
         x = rng.normal(size=(2, 3, 6, 6))
         check_op(
-            lambda t: T.sum_all(T.tanh(T.conv2d(t, Tensor(w), stride=1, padding=1))),
+            lambda t: T.sum_all(T.tanh(T.conv2d(t, Tensor(w), padding=1))),
             lambda z: float(np.sum(np.tanh(_conv_ref(z, w, 1, 1)))),
             x.shape,
             rng,
         )
         check_op(
-            lambda t: T.sum_all(T.tanh(T.conv2d(Tensor(x), t, stride=1, padding=1))),
+            lambda t: T.sum_all(T.tanh(T.conv2d(Tensor(x), t, padding=1))),
             lambda z: float(np.sum(np.tanh(_conv_ref(x, z, 1, 1)))),
             w.shape,
             rng,
@@ -360,13 +371,20 @@ class TestAdjointPairs:
     def test_im2col_col2im(self):
         rng = np.random.default_rng(20)
         shape = (2, 3, 6, 5)
-        for kh, kw, sh, sw in [(3, 3, 1, 1), (2, 3, 2, 1), (1, 1, 1, 1), (3, 2, 3, 2)]:
+        for kh, kw in [(3, 3), (2, 3), (1, 1), (3, 2)]:
             self.inner_check(
                 rng,
-                lambda t: T.im2col(t, kh, kw, sh, sw),
-                lambda c: T.col2im(c, shape, kh, kw, sh, sw),
+                lambda t: T.im2col(t, kh, kw),
+                lambda c: T.col2im(c, shape, kh, kw),
                 shape,
             )
+        # padded: the adjoint scatters onto the padded grid, then crops
+        self.inner_check(
+            rng,
+            lambda t: T.im2col(t, 3, 3, 1, 2),
+            lambda c: T.crop2d(T.col2im(c, (2, 3, 8, 9), 3, 3), 1, 1, 2, 2),
+            shape,
+        )
 
     def test_pool_upsample(self):
         rng = np.random.default_rng(21)
@@ -426,7 +444,7 @@ class TestHigherOrder:
         def penalty(Wd):
             W = Tensor(Wd, requires_grad=True)
             x = Tensor(xv, requires_grad=True)
-            out = T.sum_all(T.tanh(T.conv2d(x, W, stride=1, padding=1)))
+            out = T.sum_all(T.tanh(T.conv2d(x, W, padding=1)))
             (gx,) = T.grad(out, [x], create_graph=True)
             pen = T.sum_all(T.mul(gx, gx))
             return W, pen
@@ -436,6 +454,31 @@ class TestHigherOrder:
         numeric = fd_grad(lambda w: penalty(w)[1].item(), Wv.copy(), eps=1e-6)
         err = np.max(np.abs(W.grad - numeric) / np.maximum(1e-8, np.abs(W.grad) + np.abs(numeric)))
         assert err < 1e-5
+
+    @pytest.mark.parametrize("k, pad", [(3, 1), (1, 0)])
+    def test_grad_through_batched_conv_gradient_with_bias(self, k, pad):
+        rng = np.random.default_rng(32)
+        values = [
+            rng.normal(size=(2, 3, k, k)) * 0.5,  # W
+            rng.normal(size=(2,)) * 0.5,  # b
+            rng.normal(size=(2, 3, 5, 5)),  # x
+        ]
+
+        def penalty(Wd, bd, xd):
+            W, b, x = (Tensor(v, requires_grad=True) for v in (Wd, bd, xd))
+            out = T.sum_all(T.tanh(T.conv2d(x, W, b, padding=pad)))
+            (gx,) = T.grad(out, [x], create_graph=True)
+            return (W, b, x), T.sum_all(T.mul(gx, gx))
+
+        leaves, pen = penalty(*(v.copy() for v in values))
+        T.backward(pen)
+        for i, leaf in enumerate(leaves):
+            def f(v, i=i):
+                return penalty(*(v if j == i else values[j] for j in range(3)))[1].item()
+
+            numeric = fd_grad(f, values[i].copy())
+            err = np.max(np.abs(leaf.grad - numeric) / np.maximum(1e-8, np.abs(leaf.grad) + np.abs(numeric)))
+            assert err < 1e-5, (i, err)
 
 
 class TestGradientCheckUtility:
@@ -473,3 +516,14 @@ class TestDtypes:
             y = T.sum_all(T.relu(T.matmul(x, x)))
             T.backward(y)
             assert x.grad.dtype == np.float32
+
+    def test_conv2d_float32_through_double_backward(self):
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        W = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)).astype(np.float32), requires_grad=True)
+        y = T.conv2d(x, W, b, padding=1)
+        gx, gW, gb = T.grad(T.sum_all(T.tanh(y)), [x, W, b], create_graph=True)
+        ggW, ggb, ggx = T.grad(T.sum_all(T.mul(gx, gx)), [W, b, x])
+        for t in (y, gx, gW, gb, ggW, ggb, ggx):
+            assert t.dtype == np.float32

@@ -372,3 +372,28 @@ class TestTrainingLoops:
         assert all(np.all(m == 0.25) for m in opt_g2.m.values())
         for k, p in gen.params().items():
             assert np.array_equal(p.data, gen2.params()[k].data)
+
+
+class TestPrecision:
+    def test_float32_steps_output_no_float64(self, monkeypatch):
+        gen_spec, disc_spec = tiny_specs()
+        rng = np.random.default_rng(12)
+        gen = networks.Generator(gen_spec, rng)
+        disc = networks.Discriminator(disc_spec, rng)
+        networks.cast_params(gen, np.float32)
+        networks.cast_params(disc, np.float32)
+        data = datasets.synthetic_dataset(0, 8, size=32).astype(np.float32)
+        cfg = training.TrainConfig(steps=1, batch_size=2)
+        wide = []
+        record = T._result
+
+        def audited(out, op, *args, **kwargs):
+            if out.dtype == np.float64:
+                wide.append(op)
+            return record(out, op, *args, **kwargs)
+
+        monkeypatch.setattr(T, "_result", audited)  # every tape op ends in _result
+        training.pretrain_baseline(gen, disc, data, cfg, RngStreams(1))
+        anchor = networks.extract_anchor(gen)
+        training.train(gen, anchor, disc, data, cfg, RngStreams(2))
+        assert not wide, f"float64 outputs from {sorted(set(wide))}"
