@@ -1,9 +1,11 @@
 """Coefficients <-> pixels, in two interchangeable forms.
 
-`encode_image` / `decode_image` are the plain-numpy reference codec used for
-real data, oracles, and the CLI.  `decode_planes` is the same decode pipeline
-expressed in differentiable tensor ops so gradients can flow from pixel-space
-losses back into coefficient-space generators:
+`encode_batch` / `decode_batch` are the plain-numpy reference codec used for
+real data, oracles, and the CLI. Each runs its pipeline once over a whole
+batch of same-sized images; `encode_image`, `decode_image` and
+`decode_samples` are one-image wrappers around them. `decode_planes` is the
+same decode pipeline expressed in differentiable tensor ops so gradients can
+flow from pixel-space losses back into coefficient-space generators:
 
     dequantize -> inverse DCT (+128 level shift) -> chroma upsample
     -> YCbCr to RGB -> clip to [0, 255]
@@ -31,41 +33,83 @@ __all__ = [
 ]
 
 
-def encode_image(rgb: np.ndarray, quality_factor: int, mode: str) -> EncodedImage:
-    """Reference encoder: HxWx3 pixels in [0, 255] -> quantized coefficients.
+def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
+    """Reference encoder: (N, 3, H, W) pixels in [0, 255] -> one container
+    of quantized coefficients per image.
 
     Extents are edge-replicated up to the subsampling mode's macroblock
     multiple before encoding.
     """
-    img = np.asarray(rgb, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected HxWx3, got {img.shape}")
-    if img.min() < 0.0 or img.max() > 255.0:
+    imgs = np.asarray(images, dtype=np.float64)
+    if imgs.ndim != 4 or imgs.shape[1] != 3:
+        raise ValueError(f"expected (N, 3, H, W), got {imgs.shape}")
+    if imgs.min() < 0.0 or imgs.max() > 255.0:
         raise ValueError("pixel values outside [0, 255]")
     fv, fh = jpeg.mode_factors(mode)
-    img = jpeg.pad_multiple(img, 8 * fv, 8 * fh)
-    h, w = img.shape[:2]
+    rgb = imgs.transpose(0, 2, 3, 1)  # the color transform works on (..., 3)
+    ph, pw = -rgb.shape[1] % (8 * fv), -rgb.shape[2] % (8 * fh)
+    if ph or pw:
+        rgb = np.pad(rgb, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
+    h, w = rgb.shape[1:3]
 
-    ycc = jpeg.rgb_to_ycbcr(img)
+    ycc = jpeg.rgb_to_ycbcr(rgb)
     ql, qc = jpeg.quant_matrices(quality_factor)
-    planes = {
-        "y": (ycc[..., 0], ql),
-        "cb": (jpeg.subsample(ycc[..., 1], mode), qc),
-        "cr": (jpeg.subsample(ycc[..., 2], mode), qc),
-    }
-    levels = {}
-    for name, (plane, q) in planes.items():
-        blocks = jpeg.blockify(plane - 128.0)
-        levels[name] = jpeg.quantize(jpeg.dct8x8(blocks), q)
-    return EncodedImage(
-        width=w,
-        height=h,
-        quality_factor=int(quality_factor),
-        mode=mode,
-        y=levels["y"],
-        cb=levels["cb"],
-        cr=levels["cr"],
+    planes = (
+        (ycc[..., 0], ql),
+        (jpeg.subsample(ycc[..., 1], mode), qc),
+        (jpeg.subsample(ycc[..., 2], mode), qc),
     )
+    y, cb, cr = (
+        jpeg.quantize(jpeg.dct8x8(jpeg.blockify(plane - 128.0)), q) for plane, q in planes
+    )
+    meta = dict(width=w, height=h, quality_factor=int(quality_factor), mode=mode)
+    return [EncodedImage(**meta, y=yi, cb=cbi, cr=cri) for yi, cbi, cri in zip(y, cb, cr)]
+
+
+def _decode_samples(encs: list[EncodedImage]) -> list[np.ndarray]:
+    """Check containers of one setting and decode them to stacked (N, h, w)
+    YCbCr sample planes at stored resolution."""
+    if not encs:
+        raise ValueError("no containers to decode")
+    setting = (encs[0].width, encs[0].height, encs[0].quality_factor, encs[0].mode)
+    for enc in encs:
+        enc.check_layout()
+        if (enc.width, enc.height, enc.quality_factor, enc.mode) != setting:
+            raise ValueError(
+                "containers in one batch must share extents, quality factor and mode"
+            )
+    ql, qc = jpeg.quant_matrices(setting[2])
+    planes = []
+    for name, q in (("y", ql), ("cb", qc), ("cr", qc)):
+        levels = np.stack([getattr(enc, name) for enc in encs])
+        jpeg.check_amplitudes(name, levels, q)
+        pix = jpeg.idct8x8(jpeg.dequantize(levels, q)) + 128.0
+        planes.append(jpeg.unblockify(pix))
+    return planes
+
+
+def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
+    """Reference decoder: containers that share extents, quality factor and
+    mode -> (N, 3, H, W) float pixels in [0, 255].
+
+    The result is a view of pixel-interleaved (N, H, W, 3) memory. Keep it
+    so: reductions such as `fid.pixel_features` sum in an order set by the
+    layout, so the sweep's distances are pinned to this one.
+    """
+    encs = list(encs)
+    y, cb, cr = _decode_samples(encs)
+    mode = encs[0].mode
+    ycc = np.stack([y, jpeg.upsample(cb, mode), jpeg.upsample(cr, mode)], axis=-1)
+    rgb = np.clip(jpeg.ycbcr_to_rgb(ycc), 0.0, 255.0)
+    return rgb.transpose(0, 3, 1, 2)
+
+
+def encode_image(rgb: np.ndarray, quality_factor: int, mode: str) -> EncodedImage:
+    """`encode_batch` for one HxWx3 image."""
+    img = np.asarray(rgb)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ValueError(f"expected HxWx3, got {img.shape}")
+    return encode_batch(img.transpose(2, 0, 1)[None], quality_factor, mode)[0]
 
 
 def decode_samples(enc: EncodedImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,36 +119,13 @@ def decode_samples(enc: EncodedImage) -> tuple[np.ndarray, np.ndarray, np.ndarra
     interop comparisons against other decoders happen here rather than
     after color conversion.
     """
-    enc.validate()
-    ql, qc = jpeg.quant_matrices(enc.quality_factor)
-    planes = []
-    for levels, q in ((enc.y, ql), (enc.cb, qc), (enc.cr, qc)):
-        pix = jpeg.idct8x8(jpeg.dequantize(levels, q)) + 128.0
-        planes.append(jpeg.unblockify(pix))
-    return planes[0], planes[1], planes[2]
+    y, cb, cr = _decode_samples([enc])
+    return y[0], cb[0], cr[0]
 
 
 def decode_image(enc: EncodedImage) -> np.ndarray:
-    """Reference decoder: coefficients -> HxWx3 float pixels in [0, 255]."""
-    y, cb, cr = decode_samples(enc)
-    cb = jpeg.upsample(cb, enc.mode)
-    cr = jpeg.upsample(cr, enc.mode)
-    ycc = np.stack([y, cb, cr], axis=-1)
-    return np.clip(jpeg.ycbcr_to_rgb(ycc), 0.0, 255.0)
-
-
-def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
-    """Encode an (N, 3, H, W) batch; returns one container per image."""
-    return [
-        encode_image(np.transpose(img, (1, 2, 0)), quality_factor, mode)
-        for img in np.asarray(images)
-    ]
-
-
-def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
-    """Decode containers of equal extents into an (N, 3, H, W) array."""
-    outs = [np.transpose(decode_image(e), (2, 0, 1)) for e in encs]
-    return np.stack(outs, axis=0)
+    """`decode_batch` for one container: HxWx3 float pixels in [0, 255]."""
+    return decode_batch([enc])[0].transpose(1, 2, 0)
 
 
 def _block_left_right(x: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:

@@ -62,9 +62,10 @@ def read_ppm(path) -> np.ndarray:
             raise ValueError(f"{path}: bad maxval {maxval}")
         wide = maxval > 255
         need = width * height * 3 * (2 if wide else 1)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:  # checked before reading: the header may claim any size
+            raise ValueError(f"{path}: expected {need} sample bytes, got {left}")
         raw = fh.read(need)
-        if len(raw) != need:
-            raise ValueError(f"{path}: expected {need} sample bytes, got {len(raw)}")
     dtype = ">u2" if wide else np.uint8
     img = np.frombuffer(raw, dtype=dtype).reshape(height, width, 3)
     return img.astype(np.float32) * (255.0 / maxval)

@@ -13,14 +13,12 @@ import csv
 import numpy as np
 
 from . import codec
-from .tensor import Tensor, no_grad
 
 __all__ = [
     "FidStats",
     "frechet_distance",
     "frechet_from_moments",
     "pixel_features",
-    "discriminator_features",
     "save_features",
     "load_features",
     "compression_sweep",
@@ -135,17 +133,6 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     return pooled.reshape(n, 192)
 
 
-def discriminator_features(disc, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Penultimate-layer activations of a discriminator, batched, no grad."""
-    images = np.asarray(images)
-    chunks = []
-    with no_grad():
-        for start in range(0, images.shape[0], batch_size):
-            x = Tensor(images[start : start + batch_size].astype(np.float64))
-            chunks.append(disc.features(x).data)
-    return np.concatenate(chunks, axis=0)
-
-
 def save_features(path, feats: np.ndarray) -> None:
     feats = np.ascontiguousarray(np.asarray(feats, dtype=np.float64))
     if feats.ndim != 2:
@@ -160,6 +147,9 @@ def load_features(path) -> np.ndarray:
     return np.asarray(feats, dtype=np.float64)
 
 
+_SWEEP_CHUNK = 128  # images per codec pass in `compression_sweep`
+
+
 def compression_sweep(
     images: np.ndarray,
     quality_factors,
@@ -169,16 +159,21 @@ def compression_sweep(
     """Distance of each (quality, mode) re-encode against the originals.
 
     `images` is (n, 3, h, w) in [0, 255]. Returns one row per setting in
-    the given order.
+    the given order. Images pass through the codec and `extractor`
+    `_SWEEP_CHUNK` at a time, which bounds the memory a setting needs.
     """
     images = np.asarray(images, dtype=np.float64)
     reference = FidStats.from_features(extractor(images))
+    n, _, h, w = images.shape
     rows = []
     for qf in quality_factors:
         for mode in modes:
-            degraded = codec.decode_batch(codec.encode_batch(images, qf, mode))
-            degraded = degraded[:, :, : images.shape[2], : images.shape[3]]
-            stats = FidStats.from_features(extractor(degraded))
+            feats = []
+            for start in range(0, n, _SWEEP_CHUNK):
+                chunk = images[start : start + _SWEEP_CHUNK]
+                degraded = codec.decode_batch(codec.encode_batch(chunk, qf, mode))
+                feats.append(extractor(degraded[:, :, :h, :w]))
+            stats = FidStats.from_features(np.concatenate(feats))
             rows.append((int(qf), str(mode), frechet_distance(reference, stats)))
     return rows
 

@@ -19,6 +19,7 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,13 +42,13 @@ __all__ = [
     "subsample",
     "upsample",
     "mode_factors",
-    "pad_multiple",
     "zigzag",
     "inverse_zigzag",
     "ZIGZAG_INDEX",
     "blockify",
     "unblockify",
     "AMPLITUDE_LIMIT",
+    "check_amplitudes",
 ]
 
 # 50-quality base quantization tables for luma and chroma.
@@ -169,12 +170,19 @@ def scale_quant_matrix(base: np.ndarray, quality: float) -> np.ndarray:
     return np.maximum(1, scaled).astype(np.int64)
 
 
+@lru_cache(maxsize=256)
 def quant_matrices(quality: float) -> tuple[np.ndarray, np.ndarray]:
-    """(luma, chroma) quantization matrices at the given quality factor."""
-    return (
+    """(luma, chroma) quantization matrices at the given quality factor.
+
+    Cached: every caller receives the same two arrays, so they are read-only.
+    """
+    tables = (
         scale_quant_matrix(LUMA_QUANT_BASE, quality),
         scale_quant_matrix(CHROMA_QUANT_BASE, quality),
     )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -204,15 +212,16 @@ def mode_factors(mode: str) -> tuple[int, int]:
 
 
 def subsample(plane: np.ndarray, mode: str) -> np.ndarray:
-    """Block-mean chroma reduction of a 2-D plane."""
+    """Block-mean chroma reduction of the trailing (H, W) axes."""
     fv, fh = mode_factors(mode)
-    if fv == fh == 1:
-        return np.asarray(plane, dtype=np.float64).copy()
     p = np.asarray(plane, dtype=np.float64)
-    h, w = p.shape
+    if fv == fh == 1:
+        return p.copy()
+    *lead, h, w = p.shape
     if h % fv or w % fh:
         raise ValueError(f"{h}x{w} plane not divisible by {fv}x{fh}")
-    return p.reshape(h // fv, fv, w // fh, fh).mean(axis=(1, 3))
+    return p.reshape(*lead, h // fv, fv, w // fh, fh).mean(axis=(-3, -1))
+
 
 def upsample(plane: np.ndarray, mode: str) -> np.ndarray:
     """Nearest-neighbor inverse of `subsample` (replicates each sample)."""
@@ -220,18 +229,7 @@ def upsample(plane: np.ndarray, mode: str) -> np.ndarray:
     p = np.asarray(plane, dtype=np.float64)
     if fv == fh == 1:
         return p.copy()
-    return np.repeat(np.repeat(p, fv, axis=0), fh, axis=1)
-
-
-def pad_multiple(img: np.ndarray, mh: int, mw: int) -> np.ndarray:
-    """Edge-replicate an HxWxC (or HxW) array up to multiples of (mh, mw)."""
-    h, w = img.shape[:2]
-    ph = (-h) % mh
-    pw = (-w) % mw
-    if ph == 0 and pw == 0:
-        return img
-    pad = [(0, ph), (0, pw)] + [(0, 0)] * (img.ndim - 2)
-    return np.pad(img, pad, mode="edge")
+    return np.repeat(np.repeat(p, fv, axis=-2), fh, axis=-1)
 
 
 def zigzag(block: np.ndarray) -> np.ndarray:
@@ -252,20 +250,27 @@ def inverse_zigzag(vec: np.ndarray) -> np.ndarray:
 
 
 def blockify(plane: np.ndarray) -> np.ndarray:
-    """(H, W) -> (H/8, W/8, 8, 8) view-copy of 8x8 tiles."""
-    h, w = plane.shape
+    """(..., H, W) -> (..., H/8, W/8, 8, 8) contiguous copy of 8x8 tiles."""
+    *lead, h, w = plane.shape
     if h % 8 or w % 8:
         raise ValueError(f"plane {h}x{w} not divisible by 8")
-    return np.ascontiguousarray(
-        plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
-    )
+    tiles = plane.reshape(*lead, h // 8, 8, w // 8, 8)
+    return np.ascontiguousarray(tiles.swapaxes(-3, -2))
 
 
 def unblockify(blocks: np.ndarray) -> np.ndarray:
-    by, bx = blocks.shape[:2]
-    return np.ascontiguousarray(
-        blocks.transpose(0, 2, 1, 3).reshape(by * 8, bx * 8)
-    )
+    """(..., by, bx, 8, 8) -> (..., by*8, bx*8), the inverse of `blockify`."""
+    *lead, by, bx, _, _ = blocks.shape
+    return np.ascontiguousarray(blocks.swapaxes(-3, -2).reshape(*lead, by * 8, bx * 8))
+
+
+def check_amplitudes(name: str, levels: np.ndarray, q: np.ndarray) -> None:
+    """Reject quantizer levels whose amplitudes leave the container's range.
+
+    `levels` has trailing 8x8 axes and any leading ones; `q` is the table.
+    """
+    if np.any(np.abs(levels * q) > 1024 + 8 * q):
+        raise ValueError(f"{name} plane has out-of-range amplitudes")
 
 
 @dataclass
@@ -286,6 +291,14 @@ class EncodedImage:
     cr: np.ndarray = field(repr=False)
 
     def validate(self) -> None:
+        self.check_layout()
+        ql, qc = quant_matrices(self.quality_factor)
+        for name, q in (("y", ql), ("cb", qc), ("cr", qc)):
+            check_amplitudes(name, getattr(self, name), q)
+
+    def check_layout(self) -> None:
+        """Every check of `validate` except the amplitude bound: the
+        metadata, and each plane's shape and integer dtype."""
         if self.mode not in MODES:
             raise ValueError(f"bad mode {self.mode!r}")
         if not (0 < self.quality_factor <= 100):
@@ -296,20 +309,14 @@ class EncodedImage:
                 f"extents {self.width}x{self.height} not multiples of the "
                 f"{self.mode} macroblock"
             )
-        ql, qc = quant_matrices(self.quality_factor)
         shapes = {
             "y": (self.height // 8, self.width // 8, 8, 8),
             "cb": (self.height // (8 * fv), self.width // (8 * fh), 8, 8),
             "cr": (self.height // (8 * fv), self.width // (8 * fh), 8, 8),
         }
-        for name, q in (("y", ql), ("cb", qc), ("cr", qc)):
+        for name, shape in shapes.items():
             plane = getattr(self, name)
-            if plane.shape != shapes[name]:
-                raise ValueError(
-                    f"{name} plane shape {plane.shape} != {shapes[name]}"
-                )
-            if not np.issubdtype(plane.dtype, np.integer):
+            if plane.shape != shape:
+                raise ValueError(f"{name} plane shape {plane.shape} != {shape}")
+            if plane.dtype.kind not in "iu":  # signed or unsigned integers
                 raise ValueError(f"{name} plane must be integer levels")
-            bound = 1024 + 8 * q
-            if np.any(np.abs(plane * q) > bound):
-                raise ValueError(f"{name} plane has out-of-range amplitudes")

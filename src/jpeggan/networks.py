@@ -359,6 +359,8 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         blob = f.read()
     if blob[:4] != _MAGIC:
         raise ValueError("not a parameter container (bad magic)")
+    if len(blob) < 12:
+        raise ValueError("truncated container header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")

@@ -6,6 +6,10 @@ written in terms of these same operations, so gradients can be
 differentiated again (``grad(..., create_graph=True)``) — the gradient
 penalty used in adversarial training needs exactly that.
 
+A backward walk computes only the gradients that lead to a requested input:
+closures of ops with several parents take ``needs``, one flag per parent,
+and may return None in place of a gradient that is not needed.
+
 Execution is single-threaded and serial; given the same seed and op
 sequence, results are bit-identical.  Tensors are immutable once created
 except for the owner-held ``grad`` buffer on leaves (and in-place parameter
@@ -272,7 +276,7 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _result(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    return _result(a.data + b.data, "add", (a, b), lambda g, needs: (g, g))
 
 
 def add_scalar(a: Tensor, c) -> Tensor:
@@ -282,7 +286,11 @@ def add_scalar(a: Tensor, c) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    return _result(a.data * b.data, "mul", (a, b), lambda g: (mul(g, b), mul(g, a)))
+
+    def bw(g, needs):
+        return (mul(g, b) if needs[0] else None, mul(g, a) if needs[1] else None)
+
+    return _result(a.data * b.data, "mul", (a, b), bw)
 
 
 def scalar_mul(a: Tensor, c) -> Tensor:
@@ -436,7 +444,6 @@ def sum_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     old = a.shape
-    n = a.size
 
     def bw(g):
         return (expand(reshape(g, (1,) * len(old)) if old else g, old),)
@@ -457,10 +464,6 @@ def mean_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
     return scalar_mul(sum_axes(a, axes, keepdims), 1.0 / n)
 
 
-def mean(a: Tensor) -> Tensor:
-    return mean_all(a)
-
-
 def l1_norm(a: Tensor) -> Tensor:
     return sum_all(abs_(a))
 
@@ -479,9 +482,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(g):
+    def bw(g, needs=None):  # a one-tensor concat is walked without `needs`
         return tuple(
             slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
+            if needs is None or needs[i] else None
             for i in range(len(sizes))
         )
 
@@ -531,8 +535,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
 
-    def bw(g):
-        return (matmul(g, transpose2d(b)), matmul(transpose2d(a), g))
+    def bw(g, needs):
+        return (
+            matmul(g, transpose2d(b)) if needs[0] else None,
+            matmul(transpose2d(a), g) if needs[1] else None,
+        )
 
     return _result(a.data @ b.data, "matmul", (a, b), bw)
 
@@ -648,13 +655,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         out += b.data[:, None]
     out = out.reshape(O, N, OH, OW).transpose(1, 0, 2, 3)
 
-    def bw(g):
+    def bw(g, needs):
         gt = reshape(permute(g, (1, 0, 2, 3)), (O, NL))
-        d_cols = matmul(transpose2d(reshape(w, (O, K))), gt)
-        d_w = reshape(matmul(gt, transpose2d(cols)), (O, C, kh, kw))
+        d_cols = matmul(transpose2d(reshape(w, (O, K))), gt) if needs[0] else None
+        d_w = reshape(matmul(gt, transpose2d(cols)), (O, C, kh, kw)) if needs[1] else None
         if b is None:
             return d_cols, d_w
-        return d_cols, d_w, sum_axes(gt, 1)
+        return d_cols, d_w, sum_axes(gt, 1) if needs[2] else None
 
     parents = (cols, w) if b is None else (cols, w, b)
     return _result(out, "conv2d", parents, bw)
@@ -714,12 +721,23 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents before children
 
 
-def _walk(output: Tensor, create_graph: bool, consume: bool) -> dict[int, Tensor]:
+def _walk(
+    output: Tensor, order: list[Tensor], targets: set[int], create_graph: bool
+) -> dict[int, Tensor]:
+    """Gradients of `output` for the nodes on a path to a `targets` id.
+
+    `order` is `_toposort(output)`. A node is needed when it is a target or
+    one of its parents is needed; gradients are computed and stored for
+    needed nodes only.
+    """
     if output.size != 1:
         raise GraphError("backward needs a scalar loss")
     if output._bw is None and not output.requires_grad:
         raise GraphError("loss is not part of the recorded graph")
-    order = _toposort(output)
+    needed = set(targets)
+    for node in order:  # parents before children
+        if any(id(p) in needed for p in node._parents):
+            needed.add(id(node))
     grads: dict[int, Tensor] = {
         id(output): Tensor(np.ones(output.shape, dtype=output.data.dtype))
     }
@@ -728,17 +746,16 @@ def _walk(output: Tensor, create_graph: bool, consume: bool) -> dict[int, Tensor
             g = grads.get(id(node))
             if g is None or node._bw is None:
                 continue
-            parent_grads = node._bw(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None:
+            needs = tuple(id(p) in needed for p in node._parents)
+            if not any(needs):
+                continue
+            # a node with one parent is only reached when that parent is needed
+            parent_grads = node._bw(g, needs) if len(needs) > 1 else node._bw(g)
+            for p, pg, need in zip(node._parents, parent_grads, needs):
+                if pg is None or not need:
                     continue
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else add(prev, pg)
-    if consume:
-        for node in order:
-            if node._bw is not None:
-                node._bw = None
-                node._parents = ()
     return grads
 
 
@@ -748,9 +765,10 @@ def backward(loss: Tensor) -> None:
     The walked portion of the tape is consumed afterwards.
     """
     order = _toposort(loss)
-    grads = _walk(loss, create_graph=False, consume=False)
-    for node in order:
-        if node.requires_grad and node._bw is None and id(node) in grads:
+    leaves = [node for node in order if node.requires_grad and node._bw is None]
+    grads = _walk(loss, order, {id(node) for node in leaves}, create_graph=False)
+    for node in leaves:
+        if id(node) in grads:
             g = grads[id(node)].data
             node.grad = g.copy() if node.grad is None else node.grad + g
     for node in order:
@@ -771,7 +789,8 @@ def grad(
     so they can be differentiated again.  The forward graph is left intact.
     """
     inputs = list(inputs)
-    grads = _walk(output, create_graph=create_graph, consume=False)
+    order = _toposort(output)
+    grads = _walk(output, order, {id(t) for t in inputs}, create_graph)
     out = []
     for t in inputs:
         g = grads.get(id(t))

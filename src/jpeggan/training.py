@@ -185,15 +185,15 @@ def gradient_penalty(
     (g,) = T.grad(T.sum_all(scores), [mixed], create_graph=True)
     sq = T.sum_axes(T.mul(g, g), axes=tuple(range(1, real.ndim)))
     norms = T.sqrt(T.add_scalar(sq, GRAD_NORM_EPS))
-    penalty = T.mean(T.pow_const(T.add_scalar(norms, -1.0), 2.0))
+    penalty = T.mean_all(T.pow_const(T.add_scalar(norms, -1.0), 2.0))
     return penalty, float(norms.data.mean())
 
 
 def _critic_terms(disc_fn, real: np.ndarray, fake: np.ndarray, eps_draws, gp_weight):
     n = fake.shape[0]
     both = disc_fn(Tensor(np.concatenate([fake, real])))  # one pass, two scores
-    s_fake = T.mean(T.slice_axis(both, 0, 0, n))
-    s_real = T.mean(T.slice_axis(both, 0, n, n + real.shape[0]))
+    s_fake = T.mean_all(T.slice_axis(both, 0, 0, n))
+    s_real = T.mean_all(T.slice_axis(both, 0, n, n + real.shape[0]))
     penalty, mean_norm = gradient_penalty(disc_fn, real, fake, eps_draws)
     d_loss = T.add(
         T.add(s_fake, T.scalar_mul(s_real, -1.0)), T.scalar_mul(penalty, gp_weight)
@@ -202,7 +202,7 @@ def _critic_terms(disc_fn, real: np.ndarray, fake: np.ndarray, eps_draws, gp_wei
 
 
 def _generator_terms(disc_fn, fake_t: Tensor, anchor_imgs: np.ndarray | None, anchor_weight):
-    score = T.mean(disc_fn(fake_t))
+    score = T.mean_all(disc_fn(fake_t))
     g_loss = T.scalar_mul(score, -1.0)
     anchor_val = 0.0
     if anchor_imgs is not None and anchor_weight > 0:

@@ -1,9 +1,11 @@
 """Codec round-trip properties and reference/differentiable agreement."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from jpeggan import codec, jpeg
+from jpeggan import codec, datasets, fid, jpeg
 from jpeggan import tensor as T
 from jpeggan.jpeg import EncodedImage
 from jpeggan.tensor import Tensor
@@ -35,6 +37,95 @@ def zero_enc(h=16, w=16, qf=50, mode="4:4:4"):
         cb=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
         cr=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
     )
+
+
+def oracle_encode(rgb, qf, mode):
+    """One HxWx3 image through the jpeg primitives: (y, cb, cr) levels."""
+    fv, fh = jpeg.mode_factors(mode)
+    ph, pw = -rgb.shape[0] % (8 * fv), -rgb.shape[1] % (8 * fh)
+    if ph or pw:
+        rgb = np.pad(rgb, ((0, ph), (0, pw), (0, 0)), mode="edge")
+    ycc = jpeg.rgb_to_ycbcr(rgb)
+    planes = (ycc[..., 0], jpeg.subsample(ycc[..., 1], mode), jpeg.subsample(ycc[..., 2], mode))
+    ql, qc = jpeg.quant_matrices(qf)
+    return [jpeg.quantize(jpeg.dct8x8(jpeg.blockify(p - 128.0)), q) for p, q in zip(planes, (ql, qc, qc))]
+
+
+def oracle_decode(levels, qf, mode):
+    """Levels from `oracle_encode` back to HxWx3 pixels, one image at a time."""
+    ql, qc = jpeg.quant_matrices(qf)
+    y, cb, cr = (
+        jpeg.unblockify(jpeg.idct8x8(jpeg.dequantize(lv, q)) + 128.0)
+        for lv, q in zip(levels, (ql, qc, qc))
+    )
+    ycc = np.stack([y, jpeg.upsample(cb, mode), jpeg.upsample(cr, mode)], axis=-1)
+    return np.clip(jpeg.ycbcr_to_rgb(ycc), 0.0, 255.0)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return datasets.synthetic_dataset(5, 64, 32).astype(np.float64)
+
+
+class TestBatchedCodec:
+    @pytest.mark.parametrize("mode", jpeg.MODES)
+    @pytest.mark.parametrize("qf", [100, 75, 50, 25])
+    def test_matches_per_image_oracle(self, corpus, qf, mode):
+        padded = corpus[:1, :, :20, :28]  # edge-replicated up to the macroblock
+        for batch in (corpus, padded):
+            encs = codec.encode_batch(batch, qf, mode)
+            pixels = codec.decode_batch(encs)
+            assert len(encs) == len(batch) and pixels.shape[0] == len(batch)
+            for img, enc, got in zip(batch, encs, pixels):
+                want = oracle_encode(img.transpose(1, 2, 0), qf, mode)
+                for name, levels in zip(("y", "cb", "cr"), want):
+                    assert np.array_equal(getattr(enc, name), levels), name
+                assert np.array_equal(got, oracle_decode(want, qf, mode).transpose(2, 0, 1))
+
+    def test_padding_replicates_edges(self, corpus):
+        crop = corpus[:2, :, :20, :28]
+        padded = np.pad(crop, ((0, 0), (0, 0), (0, 12), (0, 4)), mode="edge")
+        for got, want in zip(codec.encode_batch(crop, 75, "4:2:0"), codec.encode_batch(padded, 75, "4:2:0")):
+            assert (got.height, got.width) == (32, 32)
+            for name in ("y", "cb", "cr"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_decode_batch_checks_every_container(self, corpus):
+        encs = codec.encode_batch(corpus[:4], 75, "4:2:0")
+        codec.decode_batch(encs)
+        loud = copy.copy(encs[-1])
+        loud.y = loud.y.copy()
+        loud.y[0, 0, 0, 0] = 10_000
+        fractional = copy.copy(encs[-1])
+        fractional.cb = fractional.cb.astype(np.float64)
+        others = [
+            loud,
+            fractional,
+            codec.encode_batch(corpus[3:4], 50, "4:2:0")[0],
+            codec.encode_batch(corpus[3:4], 75, "4:4:4")[0],
+            codec.encode_batch(corpus[3:4, :, :16, :16], 75, "4:2:0")[0],
+        ]
+        for last in others:
+            with pytest.raises(ValueError):
+                codec.decode_batch(encs[:3] + [last])
+        with pytest.raises(ValueError):
+            codec.decode_batch([])
+
+    def test_sweep_equals_per_image_sweep(self):
+        images = datasets.synthetic_dataset(6, 150, 32).astype(np.float64)  # spans two chunks
+        reference = fid.FidStats.from_features(fid.pixel_features(images))
+        qfs, modes = [75, 25], ["4:4:4", "4:2:0"]
+        rows = fid.compression_sweep(images, qfs, modes)
+        assert [(qf, mode) for qf, mode, _ in rows] == [(q, m) for q in qfs for m in modes]
+        for qf, mode, dist in rows:
+            degraded = np.stack(
+                [
+                    oracle_decode(oracle_encode(img.transpose(1, 2, 0), qf, mode), qf, mode).transpose(2, 0, 1)
+                    for img in images
+                ]
+            )
+            stats = fid.FidStats.from_features(fid.pixel_features(degraded))
+            assert dist == fid.frechet_distance(reference, stats)
 
 
 class TestReferenceCodec:

@@ -1,7 +1,12 @@
 """PPM round trips, CIFAR record parsing, synthetic determinism, grids."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpeggan import datasets
 
@@ -47,6 +52,34 @@ class TestPpm:
             datasets.read_ppm(short)
         with pytest.raises(ValueError):
             datasets.write_ppm(tmp_path / "o.ppm", np.full((2, 2, 3), 300.0))
+
+    @pytest.mark.parametrize("extent", [b"100000000000000000000 1", b"4000000000 4000", b"3 3"])
+    def test_header_claims_more_samples_than_the_file_holds(self, tmp_path, extent):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n" + extent + b"\n255\n" + bytes(26))
+        with pytest.raises(ValueError, match="sample bytes"):
+            datasets.read_ppm(path)
+
+
+VALID_PPM = b"P6\n# a comment\n4 3\n255\n" + bytes(range(0, 36 * 7, 7))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(VALID_PPM) - 1), st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupt_ppm_raises_only_value_error(edits):
+    data = bytearray(VALID_PPM)
+    for pos, value in edits:
+        data[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corrupt.ppm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            img = datasets.read_ppm(path)
+        except ValueError:
+            return
+    assert img.ndim == 3 and img.shape[2] == 3
+    assert img.min() >= 0.0 and img.max() <= 255.0
 
 
 class TestCifar:

@@ -87,6 +87,15 @@ class TestQuantMatrices:
             with pytest.raises(ValueError):
                 jpeg.quant_matrices(bad)
 
+    def test_repeated_calls_share_read_only_tables(self):
+        first, again = jpeg.quant_matrices(75), jpeg.quant_matrices(75)
+        for a, b, base in zip(first, again, (jpeg.LUMA_QUANT_BASE, jpeg.CHROMA_QUANT_BASE)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, jpeg.scale_quant_matrix(base, 75))
+            assert not a.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
 
 # -- color space --------------------------------------------------------------
 
@@ -259,16 +268,6 @@ class TestBlockify:
         assert blocks.shape == (2, 3, 8, 8)
         assert np.array_equal(blocks[1, 2], p[8:16, 16:24])
         assert np.array_equal(jpeg.unblockify(blocks), p)
-
-    def test_pad_multiple(self):
-        img = np.arange(5 * 7 * 3, dtype=np.float64).reshape(5, 7, 3)
-        out = jpeg.pad_multiple(img, 8, 16)
-        assert out.shape == (8, 16, 3)
-        assert np.all(out[4:, :7] == out[4, :7])  # replicated last row
-        assert np.all(out[:, 6:] == out[:, 6:7])  # replicated last col
-        same = jpeg.pad_multiple(np.zeros((8, 16)), 8, 16)
-        assert same.shape == (8, 16)
-
 
 class TestEncodedImage:
     def make(self, mode="4:2:0", qf=50):

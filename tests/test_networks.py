@@ -1,7 +1,12 @@
 """Network construction, output validity, anchor extraction, serialization."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpeggan import networks as N
 from jpeggan import tensor as T
@@ -220,9 +225,10 @@ class TestSerialization:
         path = str(tmp_path / "t.params")
         N.save_params(path, {"w": np.ones((4, 4))})
         blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
-        with pytest.raises(ValueError):
-            N.load_params(path)
+        for cut in (8, len(blob) - 6):  # inside the data, inside the header
+            open(path, "wb").write(blob[:-cut])
+            with pytest.raises(ValueError):
+                N.load_params(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = str(tmp_path / "g.params")
@@ -239,3 +245,36 @@ class TestSerialization:
         N.save_params(path, g1.params())
         with pytest.raises(ValueError, match="shape"):
             N.apply_params(g2, N.load_params(path))
+
+
+def _container_bytes(arrays) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.params")
+        N.save_params(path, arrays)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_PARAMS = _container_bytes(
+    {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "b": np.arange(4, dtype=np.int64),
+        "step": np.array(3.5, dtype=np.float64),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(VALID_PARAMS) - 1), st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupt_container_raises_only_value_error(edits):
+    data = bytearray(VALID_PARAMS)
+    for pos, value in edits:
+        data[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corrupt.params")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            N.load_params(path)
+        except ValueError:
+            pass

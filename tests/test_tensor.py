@@ -481,6 +481,31 @@ class TestHigherOrder:
             assert err < 1e-5, (i, err)
 
 
+    def test_grad_computes_only_requested_operand_gradients(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(1, 3, 3, 3)), requires_grad=True)
+        b2 = Tensor(rng.normal(size=(1,)), requires_grad=True)
+        out = T.sum_all(T.conv2d(T.relu(T.conv2d(x, w1, padding=1)), w2, b2, padding=1))
+        products = []
+        matmul = T.matmul
+
+        def counted(a, b):
+            products.append(a.shape[0])
+            return matmul(a, b)
+
+        monkeypatch.setattr(T, "matmul", counted)
+        (gx,) = T.grad(out, [x], create_graph=True)
+        # input-gradient GEMMs are (C*kh*kw, N*OH*OW): one per conv, no (O, K) weight GEMM
+        assert products == [3 * 9, 2 * 9]
+        products.clear()
+        gx_all, gw1, gw2 = T.grad(out, [x, w1, w2])
+        assert sorted(products) == sorted([3 * 9, 2 * 9, 1, 3])
+        assert np.array_equal(gx.data, gx_all.data)
+        assert gw1.shape == w1.shape and gw2.shape == w2.shape
+
+
 class TestGradientCheckUtility:
     def test_sum_of_squares_is_clean(self):
         rng = np.random.default_rng(40)
