@@ -322,8 +322,8 @@ def cmd_generate(args) -> int:
 def _read_image(path) -> np.ndarray:
     try:
         return datasets.read_ppm(path)
-    except (OSError, ValueError) as e:
-        raise DataError(f"{path}: {e}") from None
+    except (OSError, ValueError) as e:  # read_ppm's and open()'s errors name the path
+        raise DataError(str(e)) from None
 
 
 def cmd_encode(args) -> int:

@@ -50,12 +50,18 @@ def _read_header_tokens(fh, count):
 
 
 def read_ppm(path) -> np.ndarray:
-    """Binary PPM (P6) to an (h, w, 3) float32 array scaled to [0, 255]."""
+    """Binary PPM (P6) to an (h, w, 3) float32 array scaled to [0, 255].
+
+    Every ValueError it raises names `path`.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(2)
         if magic != b"P6":
             raise ValueError(f"{path}: not a binary PPM (magic {magic!r})")
-        width, height, maxval = (int(t) for t in _read_header_tokens(fh, 3))
+        try:
+            width, height, maxval = (int(t) for t in _read_header_tokens(fh, 3))
+        except ValueError as e:
+            raise ValueError(f"{path}: bad header: {e}") from None
         if width < 1 or height < 1:
             raise ValueError(f"{path}: bad extent {width}x{height}")
         if not 0 < maxval < 65536:
@@ -84,7 +90,13 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def load_cifar_batch(path, count: int | None = None) -> np.ndarray:
-    """Channel-planar 32x32 records: one label byte then 3072 pixel bytes."""
+    """Channel-planar 32x32 records: one label byte then 3072 pixel bytes.
+
+    Loads the first `count` records (all when None or more than the file
+    holds) as (n, 3, 32, 32) float32.
+    """
+    if count is not None and count < 0:
+        raise ValueError(f"{path}: record count must be non-negative, got {count}")
     record = 1 + 3 * 32 * 32
     size = os.path.getsize(path)
     if size == 0 or size % record:

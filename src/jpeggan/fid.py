@@ -19,8 +19,6 @@ __all__ = [
     "frechet_distance",
     "frechet_from_moments",
     "pixel_features",
-    "save_features",
-    "load_features",
     "compression_sweep",
     "write_sweep_csv",
 ]
@@ -131,20 +129,6 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
         raise ValueError(f"extent ({h}, {w}) not a multiple of 8")
     pooled = images.reshape(n, 3, 8, h // 8, 8, w // 8).mean(axis=(3, 5))
     return pooled.reshape(n, 192)
-
-
-def save_features(path, feats: np.ndarray) -> None:
-    feats = np.ascontiguousarray(np.asarray(feats, dtype=np.float64))
-    if feats.ndim != 2:
-        raise ValueError(f"expected (n, d) features, got shape {feats.shape}")
-    np.save(path, feats, allow_pickle=False)
-
-
-def load_features(path) -> np.ndarray:
-    feats = np.load(path, allow_pickle=False)
-    if feats.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-d feature array, got shape {feats.shape}")
-    return np.asarray(feats, dtype=np.float64)
 
 
 _SWEEP_CHUNK = 128  # images per codec pass in `compression_sweep`

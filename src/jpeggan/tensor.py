@@ -10,6 +10,13 @@ A backward walk computes only the gradients that lead to a requested input:
 closures of ops with several parents take ``needs``, one flag per parent,
 and may return None in place of a gradient that is not needed.
 
+Convolution is one lowering: K-major ``im2col`` patches and one GEMM.  Its
+input gradient is again a convolution (of the output gradient with the
+flipped, in/out-swapped kernel), lowered the same way, so first and second
+derivatives of a conv stack never scatter patches.  ``col2im`` exists only
+as ``im2col``'s adjoint, reached when a weight gradient is itself
+differentiated with respect to the conv input.
+
 Execution is single-threaded and serial; given the same seed and op
 sequence, results are bit-identical.  Tensors are immutable once created
 except for the owner-held ``grad`` buffer on leaves (and in-place parameter
@@ -612,7 +619,10 @@ def im2col(a: Tensor, kh: int, kw: int, ph: int = 0, pw: int = 0) -> Tensor:
 
 def col2im(cols: Tensor, img_shape, kh: int, kw: int) -> Tensor:
     """Adjoint of im2col: kh*kw adds of contiguous (C, N, OH, OW) slabs into
-    a (C, N, H, W) buffer, returned as an NCHW view."""
+    a (C, N, H, W) buffer, returned as an NCHW view.
+
+    Only im2col's backward calls it; conv2d's input gradient is a
+    flipped-kernel convolution instead."""
     N, C, H, W = (int(v) for v in img_shape)
     OH, OW = H - kh + 1, W - kw + 1
     if cols.shape != (C * kh * kw, N * OH * OW):
@@ -629,14 +639,26 @@ def col2im(cols: Tensor, img_shape, kh: int, kw: int) -> Tensor:
     return _result(out.transpose(1, 0, 2, 3), "col2im", (cols,), bw)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
+def flip2d(a: Tensor) -> Tensor:
+    """Reverse both spatial axes of an NCHW (or OIHW) tensor; self-adjoint."""
+    if a.ndim != 4:
+        raise ShapeError("flip2d expects NCHW")
+    return _result(a.data[:, :, ::-1, ::-1], "flip2d", (a,), lambda g: (flip2d(g),), check=False)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[int, int] = 0) -> Tensor:
     """2-D stride-1 cross-correlation over NCHW with an OIHW kernel.
 
-    Lowered to one GEMM, W(O, K) @ cols(K, N*OH*OW), over K-major im2col
-    patches; the (O, N, OH, OW) product is returned as an NCHW view. The
-    projection is a single tape node whose backward is composed of
-    differentiable ops, so second derivatives (gradient-of-gradient) stay
-    exact.
+    `padding` is one zero pad for both spatial axes, or a (ph, pw) pair; a
+    pad wider than kernel extent - 1 is rejected. Lowered to one GEMM,
+    W(O, K) @ cols(K, N*OH*OW), over K-major im2col patches; the
+    (O, N, OH, OW) product is returned as an NCHW view.
+
+    The backward is built from differentiable ops, so second derivatives
+    stay exact. The input gradient is itself a convolution: the output
+    gradient correlated with the spatially flipped, in/out-swapped kernel
+    at pad (kh-1-ph, kw-1-pw), lowered the same way as the forward. The
+    weight gradient is gt(O, N*OH*OW) @ colsᵀ over the saved patches.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW weight")
@@ -646,9 +668,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {I}")
     if b is not None and b.shape != (O,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({O},)")
-    cols = im2col(x, kh, kw, padding, padding)
+    ph, pw = (int(p) for p in padding) if isinstance(padding, tuple) else (int(padding),) * 2
+    if not (0 <= ph < kh and 0 <= pw < kw):
+        raise ShapeError(f"conv2d: padding {(ph, pw)} not in [0, k - 1] for a {kh}x{kw} kernel")
+    cols = im2col(x, kh, kw, ph, pw)
     K, NL = cols.shape
-    OH, OW = H + 2 * padding - kh + 1, W + 2 * padding - kw + 1
+    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
 
     out = w.data.reshape(O, K) @ cols.data
     if b is not None:
@@ -656,14 +681,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> T
     out = out.reshape(O, N, OH, OW).transpose(1, 0, 2, 3)
 
     def bw(g, needs):
-        gt = reshape(permute(g, (1, 0, 2, 3)), (O, NL))
-        d_cols = matmul(transpose2d(reshape(w, (O, K))), gt) if needs[0] else None
+        d_x = None
+        if needs[0]:
+            d_x = conv2d(g, permute(flip2d(w), (1, 0, 2, 3)), padding=(kh - 1 - ph, kw - 1 - pw))
+        need_db = b is not None and needs[2]
+        gt = reshape(permute(g, (1, 0, 2, 3)), (O, NL)) if needs[1] or need_db else None
         d_w = reshape(matmul(gt, transpose2d(cols)), (O, C, kh, kw)) if needs[1] else None
         if b is None:
-            return d_cols, d_w
-        return d_cols, d_w, sum_axes(gt, 1) if needs[2] else None
+            return d_x, d_w
+        return d_x, d_w, sum_axes(gt, 1) if need_db else None
 
-    parents = (cols, w) if b is None else (cols, w, b)
+    # `cols` stays a tape node (held by bw): d_w remains differentiable in x
+    parents = (x, w) if b is None else (x, w, b)
     return _result(out, "conv2d", parents, bw)
 
 

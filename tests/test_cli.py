@@ -199,6 +199,21 @@ class TestCodecCommands:
                    "--out", tmp_path / "enc") == 0
         assert ppms[0].read_bytes() == before
 
+    @pytest.mark.parametrize("content", [
+        b"P6\n100000000000000000000 1\n255\n" + bytes(30),  # claims too many samples
+        b"P6\n4 x\n255\n",  # non-numeric extent
+        b"P6\n4",  # truncated header
+        b"P5\n1 1\n255\n\x00",  # wrong magic
+        None,  # no file at all
+    ], ids=["huge-extent", "non-numeric-extent", "truncated-header", "wrong-magic", "missing"])
+    def test_bad_ppm_names_its_path_once(self, tmp_path, capsys, content):
+        path = tmp_path / "x.ppm"
+        if content is not None:
+            path.write_bytes(content)
+        assert run("encode", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("x.ppm") == 1, err
+
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jpg"
         bad.write_bytes(b"\x00\x01\x02")

@@ -82,6 +82,10 @@ def test_corrupt_ppm_raises_only_value_error(edits):
     assert img.min() >= 0.0 and img.max() <= 255.0
 
 
+CIFAR_RECORD = 1 + 3 * 32 * 32
+VALID_CIFAR = (np.arange(3 * CIFAR_RECORD) * 37 % 256).astype(np.uint8).tobytes()
+
+
 class TestCifar:
     def test_parses_records(self, tmp_path):
         r = np.arange(3072, dtype=np.uint8)
@@ -100,6 +104,46 @@ class TestCifar:
         path.write_bytes(b"\x00" * 3000)
         with pytest.raises(ValueError):
             datasets.load_cifar_batch(path)
+
+    def test_rejects_negative_count(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        path.write_bytes(bytes(CIFAR_RECORD))
+        with pytest.raises(ValueError, match="non-negative"):
+            datasets.load_cifar_batch(path, count=-1)
+        assert datasets.load_cifar_batch(path, count=0).shape == (0, 3, 32, 32)
+
+    @pytest.mark.parametrize("cut", [1, CIFAR_RECORD - 1, CIFAR_RECORD + 1, 3 * CIFAR_RECORD - 1])
+    def test_truncated_inside_a_record_is_rejected(self, tmp_path, cut):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(VALID_CIFAR[:cut])
+        with pytest.raises(ValueError, match="records"):
+            datasets.load_cifar_batch(path)
+
+    @pytest.mark.parametrize("records", [1, 2])
+    def test_truncated_on_a_record_boundary_loads_those_records(self, tmp_path, records):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(VALID_CIFAR[: records * CIFAR_RECORD])
+        whole = tmp_path / "whole.bin"
+        whole.write_bytes(VALID_CIFAR)
+        out = datasets.load_cifar_batch(path)
+        assert out.shape == (records, 3, 32, 32)
+        assert np.array_equal(out, datasets.load_cifar_batch(whole)[:records])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(VALID_CIFAR) - 1), st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupt_cifar_bytes_still_load(edits):
+    # every byte value is a valid label or sample, so a same-size file always loads
+    data = bytearray(VALID_CIFAR)
+    for pos, value in edits:
+        data[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corrupt.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = datasets.load_cifar_batch(path)
+    assert out.shape == (3, 3, 32, 32) and out.dtype == np.float32
+    assert out.min() >= 0.0 and out.max() <= 255.0
 
 
 class TestSynthetic:

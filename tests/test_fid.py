@@ -144,13 +144,6 @@ class TestExtractorsAndSweep:
         with pytest.raises(ValueError):
             fid.pixel_features(np.zeros((2, 3, 12, 16)))
 
-    def test_feature_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        feats = rng.standard_normal((10, 6))
-        path = tmp_path / "feats.npy"
-        fid.save_features(path, feats)
-        assert np.array_equal(fid.load_features(path), feats)
-
     def test_sweep_rows_and_self_distance(self):
         rng = np.random.default_rng(10)
         base = rng.uniform(60, 196, size=(24, 3, 16, 16))

@@ -353,6 +353,67 @@ class TestGradientsAgainstFiniteDifferences:
         )
 
 
+class TestConv2dBackward:
+    """The input gradient is a flipped-kernel convolution; check it, the
+    weight and the bias gradient, and their own gradients, on H != W."""
+
+    CASES = [(3, 3, 0), (3, 3, 1), (1, 1, 0), (2, 3, 1)]
+
+    @staticmethod
+    def values(kh, kw):
+        rng = np.random.default_rng(kh * 10 + kw)
+        return [
+            rng.normal(size=(2, 2, 4, 5)),  # x
+            rng.normal(size=(3, 2, kh, kw)) * 0.5,  # W
+            rng.normal(size=(3,)) * 0.5,  # b
+        ]
+
+    @pytest.mark.parametrize("kh, kw, p", CASES)
+    def test_first_order_against_direct_summation(self, kh, kw, p):
+        values = self.values(kh, kw)
+
+        def ref(x, w, b):
+            return float(np.sum(np.tanh(_conv_ref(x, w, 1, p) + b[None, :, None, None])))
+
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+        T.backward(T.sum_all(T.tanh(T.conv2d(*leaves, padding=p))))
+        for i, leaf in enumerate(leaves):
+            numeric = fd_grad(lambda v: ref(*(v if j == i else values[j] for j in range(3))), values[i].copy())
+            err = np.max(np.abs(leaf.grad - numeric) / np.maximum(1e-8, np.abs(leaf.grad) + np.abs(numeric)))
+            assert err < 1e-6, (i, err)
+
+    @pytest.mark.parametrize("kh, kw, p", CASES)
+    def test_second_order_against_finite_differences(self, kh, kw, p):
+        values = self.values(kh, kw)
+
+        def penalty(*arrays):
+            leaves = [Tensor(v, requires_grad=True) for v in arrays]
+            out = T.sum_all(T.tanh(T.conv2d(*leaves, padding=p)))
+            # gx is the penalty's pattern; gW and gb reach x through the saved patches
+            gx, gw, gb = T.grad(out, leaves, create_graph=True)
+            squares = [T.sum_all(T.mul(t, t)) for t in (gx, gw, gb)]
+            return leaves, T.add(T.add(squares[0], squares[1]), squares[2])
+
+        leaves, pen = penalty(*(v.copy() for v in values))
+        T.backward(pen)
+        for i, leaf in enumerate(leaves):
+            def f(v, i=i):
+                return penalty(*(v if j == i else values[j] for j in range(3)))[1].item()
+
+            numeric = fd_grad(f, values[i].copy())
+            err = np.max(np.abs(leaf.grad - numeric) / np.maximum(1e-8, np.abs(leaf.grad) + np.abs(numeric)))
+            assert err < 1e-5, (i, err)
+
+    def test_padding_wider_than_kernel_is_rejected(self):
+        x = Tensor(np.zeros((1, 2, 6, 7)))
+        for kh, kw, padding in [(3, 3, 3), (1, 1, 1), (2, 3, 2), (3, 3, -1), (2, 3, (1, 3))]:
+            with pytest.raises(T.ShapeError, match="padding"):
+                T.conv2d(x, Tensor(np.zeros((1, 2, kh, kw))), padding=padding)
+        # the widest accepted pad is kernel extent - 1, per axis
+        y = T.conv2d(x, Tensor(np.zeros((1, 2, 2, 3))), padding=(1, 2))
+        assert y.shape == (1, 1, 7, 9)
+
+
 class TestAdjointPairs:
     """<A x, y> == <x, A^T y> for each linear op and its backward partner."""
 
@@ -488,20 +549,28 @@ class TestHigherOrder:
         w2 = Tensor(rng.normal(size=(1, 3, 3, 3)), requires_grad=True)
         b2 = Tensor(rng.normal(size=(1,)), requires_grad=True)
         out = T.sum_all(T.conv2d(T.relu(T.conv2d(x, w1, padding=1)), w2, b2, padding=1))
-        products = []
-        matmul = T.matmul
+        kernels, products = [], []
+        conv2d, matmul = T.conv2d, T.matmul
 
-        def counted(a, b):
+        def counted_conv(x, w, b=None, padding=0):
+            kernels.append(w.shape)
+            return conv2d(x, w, b, padding)
+
+        def counted_matmul(a, b):
             products.append(a.shape[0])
             return matmul(a, b)
 
-        monkeypatch.setattr(T, "matmul", counted)
+        monkeypatch.setattr(T, "conv2d", counted_conv)
+        monkeypatch.setattr(T, "matmul", counted_matmul)
         (gx,) = T.grad(out, [x], create_graph=True)
-        # input-gradient GEMMs are (C*kh*kw, N*OH*OW): one per conv, no (O, K) weight GEMM
-        assert products == [3 * 9, 2 * 9]
-        products.clear()
+        # one conv per layer with the flipped, in/out-swapped (I, O, kh, kw)
+        # kernel, and no (O, N*OH*OW) @ colsᵀ weight-gradient GEMM
+        assert kernels == [(3, 1, 3, 3), (2, 3, 3, 3)]
+        assert products == []
+        kernels.clear()
         gx_all, gw1, gw2 = T.grad(out, [x, w1, w2])
-        assert sorted(products) == sorted([3 * 9, 2 * 9, 1, 3])
+        assert kernels == [(3, 1, 3, 3), (2, 3, 3, 3)]
+        assert sorted(products) == [1, 3]
         assert np.array_equal(gx.data, gx_all.data)
         assert gw1.shape == w1.shape and gw2.shape == w2.shape
 

@@ -397,3 +397,25 @@ class TestPrecision:
         anchor = networks.extract_anchor(gen)
         training.train(gen, anchor, disc, data, cfg, RngStreams(2))
         assert not wide, f"float64 outputs from {sorted(set(wide))}"
+
+    def test_steps_never_scatter_patches(self, monkeypatch):
+        # conv2d's input gradient is a flipped-kernel convolution, so col2im
+        # (im2col's adjoint) is reached by neither phase, penalty included
+        gen_spec, disc_spec = tiny_specs()
+        rng = np.random.default_rng(13)
+        gen = networks.Generator(gen_spec, rng)
+        disc = networks.Discriminator(disc_spec, rng)
+        networks.cast_params(gen, np.float32)
+        networks.cast_params(disc, np.float32)
+        data = datasets.synthetic_dataset(0, 8, size=32).astype(np.float32)
+        cfg = training.TrainConfig(steps=1, batch_size=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("col2im called during training")
+
+        monkeypatch.setattr(T, "col2im", refuse)
+        pre = training.pretrain_baseline(gen, disc, data, cfg, RngStreams(1))
+        anchor = networks.extract_anchor(gen)
+        joint = training.train(gen, anchor, disc, data, cfg, RngStreams(2))
+        assert len(pre) == len(joint) == 1
+        assert pre[0].finite() and joint[0].finite()
