@@ -127,7 +127,9 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     n, _, h, w = images.shape
     if h % 8 or w % 8:
         raise ValueError(f"extent ({h}, {w}) not a multiple of 8")
-    pooled = images.reshape(n, 3, 8, h // 8, 8, w // 8).mean(axis=(3, 5))
+    # the pooled sums run in memory order: fix it, so any layout of the same
+    # pixels gives the same features
+    pooled = np.ascontiguousarray(images).reshape(n, 3, 8, h // 8, 8, w // 8).mean(axis=(3, 5))
     return pooled.reshape(n, 192)
 
 

@@ -10,12 +10,14 @@ A backward walk computes only the gradients that lead to a requested input:
 closures of ops with several parents take ``needs``, one flag per parent,
 and may return None in place of a gradient that is not needed.
 
-Convolution is one lowering: K-major ``im2col`` patches and one GEMM.  Its
-input gradient is again a convolution (of the output gradient with the
-flipped, in/out-swapped kernel), lowered the same way, so first and second
-derivatives of a conv stack never scatter patches.  ``col2im`` exists only
-as ``im2col``'s adjoint, reached when a weight gradient is itself
-differentiated with respect to the conv input.
+Convolution is one lowering: K-major patches times one GEMM, run over
+blocks of images whose patch matrix fits in a core's L2 cache, so no patch
+matrix is ever built for a whole batch or kept on the tape.  Its input
+gradient is again a convolution (of the output gradient with the flipped,
+in/out-swapped kernel) and its weight gradient is the tape op
+``conv2d_weight``, which sums per-block GEMMs over the same patches.  Both
+are bilinear, so derivatives of every order close over ``conv2d``,
+``conv2d_weight``, ``flip2d`` and ``permute``.
 
 Execution is single-threaded and serial; given the same seed and op
 sequence, results are bit-identical.  Tensors are immutable once created
@@ -554,89 +556,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- spatial ops on NCHW ----------------------------------------------------
 
 
-def pad2d(a: Tensor, pt: int, pb: int, pl: int, pr: int) -> Tensor:
-    """Zero padding of the two trailing (spatial) axes."""
-    if a.ndim != 4:
-        raise ShapeError("pad2d expects NCHW")
-    if min(pt, pb, pl, pr) < 0:
-        raise ShapeError("negative pad")
-
-    def bw(g):
-        return (crop2d(g, pt, pb, pl, pr),)
-
-    data = np.pad(a.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    return _result(data, "pad2d", (a,), bw, check=False)
+_BLOCK_BYTES = 1 << 21  # patch-matrix bytes per image block: one core's L2
 
 
-def crop2d(a: Tensor, pt: int, pb: int, pl: int, pr: int) -> Tensor:
-    if a.ndim != 4:
-        raise ShapeError("crop2d expects NCHW")
-    H, W = a.shape[2], a.shape[3]
-    if min(pt, pb, pl, pr) < 0 or pt + pb >= H or pl + pr >= W:
-        raise ShapeError("crop out of range")
+def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+    """Yield (s, e, cols) over groups of images s:e of an NCHW array.
 
-    def bw(g):
-        return (pad2d(g, pt, pb, pl, pr),)
-
-    data = a.data[:, :, pt : H - pb, pl : W - pr]
-    return _result(data, "crop2d", (a,), bw, check=False)
-
-
-def im2col(a: Tensor, kh: int, kw: int, ph: int = 0, pw: int = 0) -> Tensor:
-    """Stride-1 (kh, kw) patches, K-major: NCHW -> (C*kh*kw, N*OH*OW).
-
-    Rows run in (C, kh, kw) order, as an (O, C, kh, kw) kernel flattens to
-    (O, C*kh*kw); columns in (N, OH, OW) order. K-major makes the window
-    copy move whole image rows (OW elements) rather than kw-element runs.
-    Optional symmetric zero padding (ph, pw) is applied before windowing.
+    `cols` is the K-major patch matrix of those images, (C*kh*kw, n*OH*OW)
+    with n = e - s: rows in (C, kh, kw) order, as an (O, C, kh, kw) kernel
+    flattens, columns in (n, OH, OW) order. A block holds as many images as
+    fit in `_BLOCK_BYTES` (at least one). The padded images and the patch
+    matrix live in buffers that every block reuses, so `cols` is only valid
+    until the next block is drawn.
     """
-    if a.ndim != 4:
-        raise ShapeError("im2col expects NCHW")
-    if ph < 0 or pw < 0:
-        raise ShapeError("negative pad")
-    N, C, H, W = a.shape
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    if Hp < kh or Wp < kw:
-        raise ShapeError("kernel larger than input")
-    OH, OW = Hp - kh + 1, Wp - kw + 1
-    x = np.pad(a.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else a.data
-    sN, sC, sH, sW = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(C, kh, kw, N, OH, OW),
-        strides=(sC, sH, sW, sN, sH, sW),
-        writeable=False,
-    )
-    cols = win.reshape(C * kh * kw, N * OH * OW)
-
-    def bw(g):
-        full = col2im(g, (N, C, Hp, Wp), kh, kw)
-        return (crop2d(full, ph, ph, pw, pw) if ph or pw else full,)
-
-    # the reshape of the strided window is itself the copy
-    return _result(cols, "im2col", (a,), bw, check=False)
+    N, C, H, W = x.shape
+    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    K, L = C * kh * kw, OH * OW
+    nb = max(1, min(N, _BLOCK_BYTES // (K * L * x.itemsize)))
+    padded = np.zeros((nb, C, H + 2 * ph, W + 2 * pw), x.dtype) if ph or pw else None
+    buf = np.empty(K * nb * L, x.dtype)
+    for s in range(0, N, nb):
+        e = min(s + nb, N)
+        n = e - s
+        src = x[s:e]
+        if padded is not None:
+            src = padded[:n]
+            src[:, :, ph : ph + H, pw : pw + W] = x[s:e]
+        sN, sC, sH, sW = src.strides
+        win = np.lib.stride_tricks.as_strided(
+            src, shape=(C, kh, kw, n, OH, OW), strides=(sC, sH, sW, sN, sH, sW), writeable=False
+        )
+        cols = buf[: K * n * L].reshape(C, kh, kw, n, OH, OW)
+        cols[...] = win  # whole image rows (OW elements) per copy
+        yield s, e, cols.reshape(K, n * L)
 
 
-def col2im(cols: Tensor, img_shape, kh: int, kw: int) -> Tensor:
-    """Adjoint of im2col: kh*kw adds of contiguous (C, N, OH, OW) slabs into
-    a (C, N, H, W) buffer, returned as an NCHW view.
+def _conv_padding(padding) -> tuple[int, int]:
+    return tuple(int(p) for p in padding) if isinstance(padding, tuple) else (int(padding),) * 2
 
-    Only im2col's backward calls it; conv2d's input gradient is a
-    flipped-kernel convolution instead."""
-    N, C, H, W = (int(v) for v in img_shape)
-    OH, OW = H - kh + 1, W - kw + 1
-    if cols.shape != (C * kh * kw, N * OH * OW):
-        raise ShapeError(f"col2im: got {cols.shape}, wanted {(C * kh * kw, N * OH * OW)}")
-    g = cols.data.reshape(C, kh, kw, N, OH, OW)
-    out = np.zeros((C, N, H, W), dtype=cols.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + OH, j : j + OW] += g[:, i, j]
 
-    def bw(gg):
-        return (im2col(gg, kh, kw),)
-
-    return _result(out.transpose(1, 0, 2, 3), "col2im", (cols,), bw)
+def _input_grad(g: Tensor, k: Tensor, ph: int, pw: int) -> Tensor:
+    """Gradient in x of <conv2d(x, k, padding=(ph, pw)), g>: g correlated
+    with the spatially flipped, in/out-swapped kernel."""
+    kh, kw = k.shape[2:]
+    return conv2d(g, permute(flip2d(k), (1, 0, 2, 3)), padding=(kh - 1 - ph, kw - 1 - pw))
 
 
 def flip2d(a: Tensor) -> Tensor:
@@ -650,15 +613,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
     """2-D stride-1 cross-correlation over NCHW with an OIHW kernel.
 
     `padding` is one zero pad for both spatial axes, or a (ph, pw) pair; a
-    pad wider than kernel extent - 1 is rejected. Lowered to one GEMM,
-    W(O, K) @ cols(K, N*OH*OW), over K-major im2col patches; the
-    (O, N, OH, OW) product is returned as an NCHW view.
+    pad wider than kernel extent - 1 is rejected. Lowered to K-major patches
+    times one GEMM, but over blocks of images whose patch matrix fits in
+    `_BLOCK_BYTES`: each block's W(O, K) @ cols(K, n*OH*OW) fills its
+    columns of one (O, N*OH*OW) product, returned as an NCHW view. No patch
+    matrix outlives the call.
 
-    The backward is built from differentiable ops, so second derivatives
-    stay exact. The input gradient is itself a convolution: the output
-    gradient correlated with the spatially flipped, in/out-swapped kernel
-    at pad (kh-1-ph, kw-1-pw), lowered the same way as the forward. The
-    weight gradient is gt(O, N*OH*OW) @ colsᵀ over the saved patches.
+    The backward is built from differentiable ops, so derivatives of every
+    order close over `conv2d`, `conv2d_weight`, `flip2d` and `permute`. The
+    input gradient is a convolution of the output gradient with the
+    spatially flipped, in/out-swapped kernel at pad (kh-1-ph, kw-1-pw); the
+    weight gradient is `conv2d_weight(x, g)`.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW weight")
@@ -668,32 +633,62 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {I}")
     if b is not None and b.shape != (O,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({O},)")
-    ph, pw = (int(p) for p in padding) if isinstance(padding, tuple) else (int(padding),) * 2
+    ph, pw = _conv_padding(padding)
     if not (0 <= ph < kh and 0 <= pw < kw):
         raise ShapeError(f"conv2d: padding {(ph, pw)} not in [0, k - 1] for a {kh}x{kw} kernel")
-    cols = im2col(x, kh, kw, ph, pw)
-    K, NL = cols.shape
     OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    L = OH * OW
 
-    out = w.data.reshape(O, K) @ cols.data
+    wm = w.data.reshape(O, C * kh * kw)
+    out = np.empty((O, N * L), dtype=np.result_type(x.data, w.data))
+    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw):
+        np.matmul(wm, cols, out=out[:, s * L : e * L])
     if b is not None:
         out += b.data[:, None]
     out = out.reshape(O, N, OH, OW).transpose(1, 0, 2, 3)
 
     def bw(g, needs):
-        d_x = None
-        if needs[0]:
-            d_x = conv2d(g, permute(flip2d(w), (1, 0, 2, 3)), padding=(kh - 1 - ph, kw - 1 - pw))
-        need_db = b is not None and needs[2]
-        gt = reshape(permute(g, (1, 0, 2, 3)), (O, NL)) if needs[1] or need_db else None
-        d_w = reshape(matmul(gt, transpose2d(cols)), (O, C, kh, kw)) if needs[1] else None
+        d_x = _input_grad(g, w, ph, pw) if needs[0] else None
+        d_w = conv2d_weight(x, g, kh, kw, (ph, pw)) if needs[1] else None
         if b is None:
             return d_x, d_w
-        return d_x, d_w, sum_axes(gt, 1) if need_db else None
+        d_b = sum_axes(reshape(permute(g, (1, 0, 2, 3)), (O, N * L)), 1) if needs[2] else None
+        return d_x, d_w, d_b
 
-    # `cols` stays a tape node (held by bw): d_w remains differentiable in x
     parents = (x, w) if b is None else (x, w, b)
     return _result(out, "conv2d", parents, bw)
+
+
+def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int, padding: int | tuple[int, int] = 0) -> Tensor:
+    """Weight gradient of `conv2d`: the (O, C, kh, kw) kernel V that makes
+    <conv2d(x, w), g> = <w, V> for every w.
+
+    `g` is (N, O, OH, OW), shaped like `conv2d(x, w, padding=padding)`.
+    Sums g_block(O, n*OH*OW) @ cols_blockᵀ over the same image blocks as
+    the forward. Bilinear in (x, g): its gradient with respect to g is
+    conv2d(x, V) and with respect to x the flipped-kernel conv of g.
+    """
+    if x.ndim != 4 or g.ndim != 4:
+        raise ShapeError("conv2d_weight expects NCHW input and gradient")
+    N, C, H, W = x.shape
+    ph, pw = _conv_padding(padding)
+    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    O = g.shape[1]
+    if g.shape != (N, O, OH, OW):
+        raise ShapeError(f"conv2d_weight: gradient {g.shape} != {(N, O, OH, OW)}")
+    L = OH * OW
+    gt = g.data.transpose(1, 0, 2, 3)
+    d_w = np.zeros((O, C * kh * kw), dtype=np.result_type(x.data, g.data))
+    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw):
+        d_w += gt[:, s:e].reshape(O, (e - s) * L) @ cols.T
+
+    def bw(v, needs):
+        return (
+            _input_grad(g, v, ph, pw) if needs[0] else None,
+            conv2d(x, v, padding=(ph, pw)) if needs[1] else None,
+        )
+
+    return _result(d_w.reshape(O, C, kh, kw), "conv2d_weight", (x, g), bw)
 
 
 def avg_pool2d(a: Tensor, kh: int, kw: int) -> Tensor:

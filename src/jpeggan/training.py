@@ -324,7 +324,6 @@ def _latents(streams: RngStreams, tag: str, index: int, n: int, dim: int, dtype)
 
 def _run_adversarial(
     make_fake,  # (z_tensor) -> pixels Tensor on the tape
-    make_fake_eval,  # (z_np) -> pixels np, no tape
     anchor_eval,  # (z_np) -> pixels np or None
     gen_params: dict[str, Tensor],
     disc,
@@ -333,12 +332,10 @@ def _run_adversarial(
     streams: RngStreams,
     latent_dim: int,
     phase: str,
+    extra_groups: dict[str, dict[str, Tensor]],
     csv_path,
     checkpoint_path,
-    checkpoint_groups,
-    start_step: int,
-    opt_g: Adam,
-    opt_d: Adam,
+    resume_from,
 ) -> list[LossReport]:
     cfg.validate()
     if data.shape[0] == 0:
@@ -346,15 +343,23 @@ def _run_adversarial(
     dtype = data.dtype if data.dtype in (np.float32, np.float64) else np.float64
     data = np.asarray(data, dtype=dtype)
     disc_params = disc.params()
+    opt_g = Adam(gen_params, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt_d = Adam(disc_params, cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
     optimizers = {"adam_g": opt_g, "adam_d": opt_d}
+    groups = {"gen": gen_params, "disc": disc_params, **extra_groups}
+    start_step = 0 if resume_from is None else load_checkpoint(resume_from, groups, optimizers)
     log = _CsvLog(csv_path, resume=start_step > 0)
     reports: list[LossReport] = []
     last_checkpoint = start_step if start_step > 0 else None
 
+    def make_fake_eval(z: np.ndarray) -> np.ndarray:
+        with T.no_grad():
+            return make_fake(Tensor(z)).data
+
     def checkpoint(step):
         nonlocal last_checkpoint
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, step, checkpoint_groups, optimizers)
+            save_checkpoint(checkpoint_path, step, groups, optimizers)
             last_checkpoint = step
 
     def diverged(step, why):
@@ -433,45 +438,19 @@ def train(
 
     `data` is (n, 3, h, w) pixels in [0, 255]. The anchor never updates.
     """
-    gen_params = gen.params()
-    opt_g = Adam(gen_params, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = Adam(disc.params(), cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    groups = {"gen": gen_params, "disc": disc.params(), "anchor": anchor.params()}
-    start = 0
-    if resume_from is not None:
-        start = load_checkpoint(resume_from, groups, {"adam_g": opt_g, "adam_d": opt_d})
-
-    def decode(out: networks.GeneratorOutput) -> Tensor:
-        return codec.decode_planes(out.y, out.cb, out.cr, out.quality_factor, out.mode)
 
     def make_fake(z_t: Tensor) -> Tensor:
-        return decode(gen.forward(z_t))
-
-    def make_fake_eval(z: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return make_fake(Tensor(z)).data
+        out = gen.forward(z_t)
+        return codec.decode_planes(out.y, out.cb, out.cr, out.quality_factor, out.mode)
 
     def anchor_eval(z: np.ndarray) -> np.ndarray:
         with T.no_grad():
             return anchor.forward(Tensor(z)).data
 
     return _run_adversarial(
-        make_fake,
-        make_fake_eval,
-        anchor_eval,
-        gen_params,
-        disc,
-        data,
-        cfg,
-        streams,
-        gen.spec.latent_dim,
-        phase="joint",
-        csv_path=csv_path,
-        checkpoint_path=checkpoint_path,
-        checkpoint_groups=groups,
-        start_step=start,
-        opt_g=opt_g,
-        opt_d=opt_d,
+        make_fake, anchor_eval, gen.params(), disc, data, cfg, streams, gen.spec.latent_dim,
+        phase="joint", extra_groups={"anchor": anchor.params()},
+        csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )
 
 
@@ -490,36 +469,13 @@ def pretrain_baseline(
     Trains `baseline`'s trunk through its pixel head only; the coefficient
     paths are untouched (so there is never an anchor term here).
     """
-    gen_params = {f"trunk.{k}": v for k, v in baseline.trunk.params().items()}
-    opt_g = Adam(gen_params, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = Adam(disc.params(), cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    groups = {"gen": gen_params, "disc": disc.params()}
-    start = 0
-    if resume_from is not None:
-        start = load_checkpoint(resume_from, groups, {"adam_g": opt_g, "adam_d": opt_d})
 
     def make_fake(z_t: Tensor) -> Tensor:
         return networks.pixel_head(baseline.trunk.forward(z_t))
 
-    def make_fake_eval(z: np.ndarray) -> np.ndarray:
-        with T.no_grad():
-            return make_fake(Tensor(z)).data
-
+    gen_params = {f"trunk.{k}": v for k, v in baseline.trunk.params().items()}
     return _run_adversarial(
-        make_fake,
-        make_fake_eval,
-        None,
-        gen_params,
-        disc,
-        data,
-        cfg,
-        streams,
-        baseline.spec.latent_dim,
-        phase="pretrain",
-        csv_path=csv_path,
-        checkpoint_path=checkpoint_path,
-        checkpoint_groups=groups,
-        start_step=start,
-        opt_g=opt_g,
-        opt_d=opt_d,
+        make_fake, None, gen_params, disc, data, cfg, streams, baseline.spec.latent_dim,
+        phase="pretrain", extra_groups={},
+        csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )

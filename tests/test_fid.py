@@ -138,6 +138,13 @@ class TestExtractorsAndSweep:
         imgs = np.full((2, 3, 16, 16), 77.0)
         assert np.allclose(fid.pixel_features(imgs), 77.0)
 
+    def test_pixel_features_ignore_memory_layout(self):
+        x = np.random.default_rng(4).uniform(0, 255, size=(5, 3, 24, 16))
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        want = fid.pixel_features(x)
+        for arr in (nhwc, np.asfortranarray(x)):
+            assert np.array_equal(fid.pixel_features(arr), want)
+
     def test_pixel_features_rejects(self):
         with pytest.raises(ValueError):
             fid.pixel_features(np.zeros((2, 1, 16, 16)))

@@ -222,13 +222,13 @@ class TestSerialization:
             N.load_params(str(path))
 
     def test_truncated(self, tmp_path):
-        path = str(tmp_path / "t.params")
-        N.save_params(path, {"w": np.ones((4, 4))})
-        blob = open(path, "rb").read()
+        path = tmp_path / "t.params"
+        N.save_params(str(path), {"w": np.ones((4, 4))})
+        blob = path.read_bytes()
         for cut in (8, len(blob) - 6):  # inside the data, inside the header
-            open(path, "wb").write(blob[:-cut])
+            path.write_bytes(blob[:-cut])
             with pytest.raises(ValueError):
-                N.load_params(path)
+                N.load_params(str(path))
 
     def test_trailing_garbage(self, tmp_path):
         path = str(tmp_path / "g.params")

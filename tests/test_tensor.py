@@ -291,18 +291,6 @@ class TestGradientsAgainstFiniteDifferences:
             rng,
         )
         check_op(
-            lambda t: T.sum_all(T.pow_const(T.pad2d(t, 1, 2, 0, 1), 2.0)),
-            lambda x: float(np.sum(np.pad(x, ((0, 0), (0, 0), (1, 2), (0, 1))) ** 2)),
-            (1, 2, 3, 3),
-            rng,
-        )
-        check_op(
-            lambda t: T.sum_all(T.pow_const(T.crop2d(t, 1, 0, 1, 1), 2.0)),
-            lambda x: float(np.sum(x[:, :, 1:, 1:-1] ** 2)),
-            (1, 2, 4, 4),
-            rng,
-        )
-        check_op(
             lambda t: T.sum_all(T.pow_const(T.avg_pool2d(t, 2, 2), 2.0)),
             lambda x: float(
                 np.sum(x.reshape(1, 2, 2, 2, 2, 2).mean(axis=(3, 5)) ** 2)
@@ -414,6 +402,98 @@ class TestConv2dBackward:
         assert y.shape == (1, 1, 7, 9)
 
 
+class TestBlockedLowering:
+    """conv2d and conv2d_weight run over image blocks of `_BLOCK_BYTES`."""
+
+    # (H, W) per case giving a 4x8 output: every layer of the networks has
+    # OH*OW a multiple of 16, and then a block boundary leaves each output
+    # element's GEMM sum order unchanged
+    EXTENTS = {(3, 3, 0): (6, 10), (3, 3, 1): (4, 8), (1, 1, 0): (4, 8), (2, 3, 1): (3, 8)}
+
+    @staticmethod
+    def values(kh, kw, H, W):
+        rng = np.random.default_rng(60 + kh * 10 + kw)
+        return rng.normal(size=(5, 2, H, W)), rng.normal(size=(3, 2, kh, kw)), rng.normal(size=(3,))
+
+    @pytest.mark.parametrize("kh, kw, p", TestConv2dBackward.CASES)
+    def test_uneven_blocks_match_one_block_and_oracle(self, kh, kw, p, monkeypatch):
+        x, w, b = self.values(kh, kw, *self.EXTENTS[kh, kw, p])
+        one = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        assert one.shape[2:] == (4, 8)
+        # two images per block: blocks of 2, 2 and 1 image
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 2 * kh * kw * 32 * 8)
+        starts = [s for s, _, _ in T._patch_blocks(x, kh, kw, p, p)]
+        assert starts == [0, 2, 4]
+        blocked = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        assert np.array_equal(blocked, one)
+        ref = _conv_ref(x, w, 1, p) + b[None, :, None, None]
+        assert np.allclose(blocked, ref, atol=1e-12)
+
+    def test_rejects_a_gradient_of_the_wrong_shape(self):
+        x = Tensor(np.zeros((2, 2, 5, 5)))
+        with pytest.raises(T.ShapeError, match="conv2d_weight"):
+            T.conv2d_weight(x, Tensor(np.zeros((2, 3, 5, 5))), 3, 3, 0)
+
+
+class TestConv2dWeight:
+    """Finite differences of conv2d_weight in x and g, to second order."""
+
+    # conv2d's cases, plus unequal pads on the two axes
+    CASES = TestConv2dBackward.CASES + [(3, 2, (1, 0))]
+
+    @staticmethod
+    def values(kh, kw, p):
+        ph, pw = p if isinstance(p, tuple) else (p, p)
+        rng = np.random.default_rng(kh * 10 + kw + ph)
+        x = rng.normal(size=(2, 2, 4, 5))
+        return [x, rng.normal(size=(2, 3, 4 + 2 * ph - kh + 1, 5 + 2 * pw - kw + 1)) * 0.5]
+
+    @staticmethod
+    def scalar(kh, kw, p, leaves):
+        return T.sum_all(T.tanh(T.scalar_mul(T.conv2d_weight(*leaves, kh, kw, p), 0.3)))
+
+    @pytest.mark.parametrize("kh, kw, p", CASES)
+    def test_first_order(self, kh, kw, p):
+        values = self.values(kh, kw, p)
+        ph, pw = p if isinstance(p, tuple) else (p, p)
+
+        def ref(x, g):
+            # the weight gradient by direct summation: V[o] = sum g[:, o] * patches
+            xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            OH, OW = g.shape[2:]
+            v = np.zeros((g.shape[1], x.shape[1], kh, kw))
+            for i in range(kh):
+                for j in range(kw):
+                    v[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[:, :, i : i + OH, j : j + OW])
+            return float(np.sum(np.tanh(0.3 * v)))
+
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+        T.backward(self.scalar(kh, kw, p, leaves))
+        for i, leaf in enumerate(leaves):
+            numeric = fd_grad(lambda v: ref(*(v if j == i else values[j] for j in range(2))), values[i].copy())
+            err = np.max(np.abs(leaf.grad - numeric) / np.maximum(1e-8, np.abs(leaf.grad) + np.abs(numeric)))
+            assert err < 1e-6, (i, err)
+
+    @pytest.mark.parametrize("kh, kw, p", CASES)
+    def test_second_order(self, kh, kw, p):
+        values = self.values(kh, kw, p)
+
+        def penalty(*arrays):
+            leaves = [Tensor(v, requires_grad=True) for v in arrays]
+            gx, gg = T.grad(self.scalar(kh, kw, p, leaves), leaves, create_graph=True)
+            return leaves, T.add(T.sum_all(T.mul(gx, gx)), T.sum_all(T.mul(gg, gg)))
+
+        leaves, pen = penalty(*(v.copy() for v in values))
+        T.backward(pen)
+        for i, leaf in enumerate(leaves):
+            def f(v, i=i):
+                return penalty(*(v if j == i else values[j] for j in range(2)))[1].item()
+
+            numeric = fd_grad(f, values[i].copy())
+            err = np.max(np.abs(leaf.grad - numeric) / np.maximum(1e-8, np.abs(leaf.grad) + np.abs(numeric)))
+            assert err < 1e-5, (i, err)
+
+
 class TestAdjointPairs:
     """<A x, y> == <x, A^T y> for each linear op and its backward partner."""
 
@@ -429,23 +509,19 @@ class TestAdjointPairs:
         rhs = np.sum(x * opT(Tensor(y)).data)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
-    def test_im2col_col2im(self):
+    def test_conv2d_conv2d_weight(self, monkeypatch):
+        # <conv2d(x, w), g> == <w, conv2d_weight(x, g)>, as a map of w
         rng = np.random.default_rng(20)
-        shape = (2, 3, 6, 5)
-        for kh, kw in [(3, 3), (2, 3), (1, 1), (3, 2)]:
-            self.inner_check(
-                rng,
-                lambda t: T.im2col(t, kh, kw),
-                lambda c: T.col2im(c, shape, kh, kw),
-                shape,
-            )
-        # padded: the adjoint scatters onto the padded grid, then crops
-        self.inner_check(
-            rng,
-            lambda t: T.im2col(t, 3, 3, 1, 2),
-            lambda c: T.crop2d(T.col2im(c, (2, 3, 8, 9), 3, 3), 1, 1, 2, 2),
-            shape,
-        )
+        x = Tensor(rng.normal(size=(3, 3, 6, 5)))
+        for block_bytes in (T._BLOCK_BYTES, 1):  # one block, then one image per block
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+            for kh, kw, p in [(3, 3, 0), (3, 3, 1), (2, 3, 1), (1, 1, 0), (3, 2, (1, 0))]:
+                self.inner_check(
+                    rng,
+                    lambda t: T.conv2d(x, t, padding=p),
+                    lambda y: T.conv2d_weight(x, y, kh, kw, p),
+                    (4, 3, kh, kw),
+                )
 
     def test_pool_upsample(self):
         rng = np.random.default_rng(21)
@@ -454,15 +530,6 @@ class TestAdjointPairs:
             lambda t: T.avg_pool2d(t, 2, 2),
             lambda y: T.scalar_mul(T.upsample_repeat2d(y, 2, 2), 1 / 4),
             (2, 3, 4, 6),
-        )
-
-    def test_pad_crop(self):
-        rng = np.random.default_rng(22)
-        self.inner_check(
-            rng,
-            lambda t: T.pad2d(t, 1, 2, 3, 0),
-            lambda y: T.crop2d(y, 1, 2, 3, 0),
-            (1, 2, 4, 5),
         )
 
 
@@ -549,28 +616,28 @@ class TestHigherOrder:
         w2 = Tensor(rng.normal(size=(1, 3, 3, 3)), requires_grad=True)
         b2 = Tensor(rng.normal(size=(1,)), requires_grad=True)
         out = T.sum_all(T.conv2d(T.relu(T.conv2d(x, w1, padding=1)), w2, b2, padding=1))
-        kernels, products = [], []
-        conv2d, matmul = T.conv2d, T.matmul
+        kernels, weight_grads = [], []
+        conv2d, conv2d_weight = T.conv2d, T.conv2d_weight
 
         def counted_conv(x, w, b=None, padding=0):
             kernels.append(w.shape)
             return conv2d(x, w, b, padding)
 
-        def counted_matmul(a, b):
-            products.append(a.shape[0])
-            return matmul(a, b)
+        def counted_weight(x, g, kh, kw, padding=0):
+            weight_grads.append((g.shape[1], x.shape[1], kh, kw))
+            return conv2d_weight(x, g, kh, kw, padding)
 
         monkeypatch.setattr(T, "conv2d", counted_conv)
-        monkeypatch.setattr(T, "matmul", counted_matmul)
+        monkeypatch.setattr(T, "conv2d_weight", counted_weight)
         (gx,) = T.grad(out, [x], create_graph=True)
         # one conv per layer with the flipped, in/out-swapped (I, O, kh, kw)
-        # kernel, and no (O, N*OH*OW) @ colsᵀ weight-gradient GEMM
+        # kernel, and no weight gradient
         assert kernels == [(3, 1, 3, 3), (2, 3, 3, 3)]
-        assert products == []
+        assert weight_grads == []
         kernels.clear()
         gx_all, gw1, gw2 = T.grad(out, [x, w1, w2])
         assert kernels == [(3, 1, 3, 3), (2, 3, 3, 3)]
-        assert sorted(products) == [1, 3]
+        assert sorted(weight_grads) == [(1, 3, 3, 3), (3, 2, 3, 3)]
         assert np.array_equal(gx.data, gx_all.data)
         assert gw1.shape == w1.shape and gw2.shape == w2.shape
 

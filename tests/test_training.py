@@ -398,9 +398,10 @@ class TestPrecision:
         training.train(gen, anchor, disc, data, cfg, RngStreams(2))
         assert not wide, f"float64 outputs from {sorted(set(wide))}"
 
-    def test_steps_never_scatter_patches(self, monkeypatch):
-        # conv2d's input gradient is a flipped-kernel convolution, so col2im
-        # (im2col's adjoint) is reached by neither phase, penalty included
+    def test_tape_holds_no_patch_matrix(self, monkeypatch):
+        # conv2d builds its patch matrices per image block and drops them, so
+        # no tape node of a critic or generator step, penalty included, holds
+        # an array larger than the largest activation a conv reads or writes
         gen_spec, disc_spec = tiny_specs()
         rng = np.random.default_rng(13)
         gen = networks.Generator(gen_spec, rng)
@@ -409,13 +410,24 @@ class TestPrecision:
         networks.cast_params(disc, np.float32)
         data = datasets.synthetic_dataset(0, 8, size=32).astype(np.float32)
         cfg = training.TrainConfig(steps=1, batch_size=2)
+        held, activation = {}, [0]
+        record = T._result
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("col2im called during training")
+        def audited(out, op, parents, bw, *args, **kwargs):
+            cells = [c.cell_contents for c in getattr(bw, "__closure__", None) or ()]
+            arrays = [out] + [c.data if isinstance(c, Tensor) else c for c in cells]
+            sizes = [a.nbytes for a in arrays if isinstance(a, np.ndarray)]
+            held[op] = max([held.get(op, 0)] + sizes)
+            if op == "conv2d":
+                activation[0] = max(activation[0], parents[0].data.nbytes, out.nbytes)
+            return record(out, op, parents, bw, *args, **kwargs)
 
-        monkeypatch.setattr(T, "col2im", refuse)
+        monkeypatch.setattr(T, "_result", audited)  # every tape op ends in _result
         pre = training.pretrain_baseline(gen, disc, data, cfg, RngStreams(1))
         anchor = networks.extract_anchor(gen)
         joint = training.train(gen, anchor, disc, data, cfg, RngStreams(2))
         assert len(pre) == len(joint) == 1
         assert pre[0].finite() and joint[0].finite()
+        assert "conv2d_weight" in held
+        too_big = {op: n for op, n in held.items() if n > activation[0]}
+        assert not too_big, (activation[0], too_big)
