@@ -278,6 +278,8 @@ def cmd_generate(args) -> int:
     cfg = resolve_config(args)
     if args.count < 0:
         raise UsageError(["--count must be >= 0"])
+    if args.grid_cols < 1:
+        raise UsageError(["--grid-cols must be >= 1"])
     dtype = _dtype(cfg)
     out = _out_dir(args)
     gen, _ = _build_networks(cfg, dtype)

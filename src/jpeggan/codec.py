@@ -10,8 +10,14 @@ flow from pixel-space losses back into coefficient-space generators:
     dequantize -> inverse DCT (+128 level shift) -> chroma upsample
     -> YCbCr to RGB -> clip to [0, 255]
 
-Both routes share every constant (quantization tables, DCT matrix, color
-matrix), so they agree to floating-point accuracy; a test pins that.
+The tape route writes dequantization plus the 8x8 inverse DCT as one
+64x64 linear map, diag(q) kron(T, T), applied to every block through
+`layers.block_map`, the same block map the locally connected layers use;
+the color transform is a 1x1 `conv2d`. The reference decoder keeps
+`jpeg.idct8x8` (Tᵀ B T): the kron map rounds differently in the last
+bits, and the reference pixels and sweep figures are pinned bit for bit.
+Both routes share the quantization tables, DCT matrix and color matrix, so
+they agree to floating-point accuracy; a test pins that.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from . import jpeg
 from . import tensor as T
 from .jpeg import EncodedImage
+from .layers import block_map
 from .tensor import Tensor
 
 __all__ = [
@@ -128,33 +135,15 @@ def decode_image(enc: EncodedImage) -> np.ndarray:
     return decode_batch([enc])[0].transpose(1, 2, 0)
 
 
-def _block_left_right(x: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """Apply `left @ B @ right` to every 8x8 tile of an (N, 1, H, W) plane."""
-    n, c, h, w = x.shape
-    bh, bw = h // 8, w // 8
-    m = n * c * bh * bw
-    tiles = T.reshape(x, (n, c, bh, 8, bw, 8))
-    tiles = T.permute(tiles, (0, 1, 2, 4, 3, 5))      # n c bh bw 8 8
-    blocks = T.reshape(tiles, (m * 8, 8))
-    blocks = T.matmul(blocks, Tensor(np.ascontiguousarray(right).astype(x.data.dtype)))
-    # left-multiply via the transpose trick: L @ B == (B^T @ L^T)^T
-    blocks = T.reshape(blocks, (m, 8, 8))
-    blocks = T.permute(blocks, (0, 2, 1))
-    blocks = T.reshape(blocks, (m * 8, 8))
-    blocks = T.matmul(blocks, Tensor(np.ascontiguousarray(left.T).astype(x.data.dtype)))
-    blocks = T.reshape(blocks, (m, 8, 8))
-    blocks = T.permute(blocks, (0, 2, 1))
-    tiles = T.reshape(blocks, (n, c, bh, bw, 8, 8))
-    tiles = T.permute(tiles, (0, 1, 2, 4, 3, 5))
-    return T.reshape(tiles, (n, c, h, w))
-
-
 def _dequant_idct(levels: Tensor, q: np.ndarray) -> Tensor:
-    n, c, h, w = levels.shape
-    q_tiled = np.tile(np.asarray(q, dtype=levels.data.dtype), (h // 8, w // 8))
-    deq = T.mul(levels, T.expand(Tensor(q_tiled.reshape(1, 1, h, w)), (n, c, h, w)))
+    """Dequantize and inverse-DCT every 8x8 block: one 64x64 map per block.
+
+    Row-major block vectors map as v -> v @ (diag(q) kron(T, T)), which is
+    Tᵀ (q * B) T for each block B; the +128 level shift follows.
+    """
     t = jpeg.dct_matrix()
-    return T.add_scalar(_block_left_right(deq, t.T, t), 128.0)
+    m = np.asarray(q, dtype=np.float64).reshape(64, 1) * np.kron(t, t)
+    return T.add_scalar(block_map(levels, Tensor(m.astype(levels.data.dtype)), None, 8, 8), 128.0)
 
 
 def decode_planes(y: Tensor, cb: Tensor, cr: Tensor, quality_factor: int, mode: str) -> Tensor:
@@ -183,10 +172,5 @@ def decode_planes(y: Tensor, cb: Tensor, cr: Tensor, quality_factor: int, mode: 
 
     m, off = jpeg.ycbcr_to_rgb_matrix()
     dtype = y.data.dtype
-    pix = T.permute(ycc, (0, 2, 3, 1))
-    pix = T.reshape(pix, (n * h * w, 3))
-    pix = T.matmul(pix, Tensor(np.ascontiguousarray(m.T).astype(dtype)))
-    pix = T.add(pix, T.expand(Tensor(off.reshape(1, 3).astype(dtype)), (n * h * w, 3)))
-    pix = T.reshape(pix, (n, h, w, 3))
-    pix = T.permute(pix, (0, 3, 1, 2))
+    pix = T.conv2d(ycc, Tensor(m.reshape(3, 3, 1, 1).astype(dtype)), Tensor(off.astype(dtype)))
     return T.clamp(pix, 0.0, 255.0)

@@ -186,6 +186,8 @@ def write_sample_grid(path, images: np.ndarray, cols: int = 8, gap: int = 2) -> 
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1] != 3:
         raise ValueError(f"expected (n, 3, h, w) images, got {images.shape}")
+    if cols < 1:
+        raise ValueError(f"grid needs at least one column, got {cols}")
     n, _, h, w = images.shape
     cols = min(cols, n)
     rows = (n + cols - 1) // cols

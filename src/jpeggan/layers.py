@@ -1,8 +1,10 @@
 """Network building blocks operating on NCHW tensors.
 
-The distinctive pieces are the block-local dense layer (one weight matrix
-shared by every tile of the feature map), the mean-pool chroma reduction,
-and the rounding layer whose backward is the straight-through 1/Q scale.
+The distinctive pieces are the block-local dense map `block_map` (one
+weight matrix shared by every tile of the feature map; the locally connected
+layer and the codec's differentiable decode both run on it), the mean-pool
+chroma reduction, and the rounding layer whose backward is the
+straight-through 1/Q scale.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .tensor import Tensor
 
 __all__ = [
     "he_uniform",
+    "block_map",
     "Linear",
     "Conv2d",
     "LocallyConnected",
@@ -29,6 +32,30 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=None) -> Tens
     bound = float(np.sqrt(6.0 / fan_in))
     data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data.astype(dtype or T.get_default_dtype()), requires_grad=True)
+
+
+def block_map(x: Tensor, w: Tensor, b: Tensor | None, bh: int, bw: int) -> Tensor:
+    """Apply one dense map to every (bh x bw) tile of an NCHW tensor.
+
+    Each tile is flattened in (channel, row, col) order to a row of
+    C*bh*bw values and multiplied by `w` (C*bh*bw, O*bh*bw) in one matmul
+    over all tiles, plus the bias `b` (O*bh*bw,) if given; the results are
+    unflattened in the same order into an (N, O, H, W) map.
+    """
+    n, c, h, wd = x.shape
+    if h % bh or wd % bw:
+        raise T.ShapeError(f"{h}x{wd} input not tiled by {bh}x{bw} blocks")
+    th, tw = h // bh, wd // bw
+    cols = w.shape[1]
+    out_ch = cols // (bh * bw)
+    tiles = T.reshape(x, (n, c, th, bh, tw, bw))
+    tiles = T.permute(tiles, (0, 2, 4, 1, 3, 5))           # n, th, tw, c, bh, bw
+    out = T.matmul(T.reshape(tiles, (n * th * tw, c * bh * bw)), w)
+    if b is not None:
+        out = T.add(out, T.expand(T.reshape(b, (1, cols)), (n * th * tw, cols)))
+    out = T.reshape(out, (n, th, tw, out_ch, bh, bw))
+    out = T.permute(out, (0, 3, 1, 4, 2, 5))               # n, o, th, bh, tw, bw
+    return T.reshape(out, (n, out_ch, h, wd))
 
 
 class Linear:
@@ -84,22 +111,9 @@ class LocallyConnected:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        bh, bw = self.block_h, self.block_w
-        if c != self.in_ch:
-            raise T.ShapeError(f"expected {self.in_ch} channels, got {c}")
-        if h % bh or w % bw:
-            raise T.ShapeError(f"{h}x{w} input not tiled by {bh}x{bw} blocks")
-        th, tw = h // bh, w // bw
-        tiles = T.reshape(x, (n, c, th, bh, tw, bw))
-        tiles = T.permute(tiles, (0, 2, 4, 1, 3, 5))           # n, th, tw, c, bh, bw
-        flat = T.reshape(tiles, (n * th * tw, c * bh * bw))
-        out = T.matmul(flat, self.w)
-        cols = self.out_ch * bh * bw
-        out = T.add(out, T.expand(T.reshape(self.b, (1, cols)), (n * th * tw, cols)))
-        out = T.reshape(out, (n, th, tw, self.out_ch, bh, bw))
-        out = T.permute(out, (0, 3, 1, 4, 2, 5))               # n, co, th, bh, tw, bw
-        return T.reshape(out, (n, self.out_ch, h, w))
+        if x.shape[1] != self.in_ch:
+            raise T.ShapeError(f"expected {self.in_ch} channels, got {x.shape[1]}")
+        return block_map(x, self.w, self.b, self.block_h, self.block_w)
 
 
 class ChromaSubsample:

@@ -48,9 +48,7 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype",
-    "tensor",
     "zeros",
-    "ones",
     "grad",
     "backward",
     "gradient_check",
@@ -179,9 +177,6 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
@@ -243,16 +238,8 @@ class Tensor:
         return mean_axes(self, axes, keepdims) if axes is not None else mean_all(self)
 
 
-def tensor(data, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def zeros(shape, requires_grad=False, dtype=None) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw, check: bool = True) -> Tensor:
@@ -327,16 +314,6 @@ def relu(a: Tensor) -> Tensor:
         return (mul(g, Tensor(mask)),)
 
     return _result(np.maximum(a.data, 0.0), "relu", (a,), bw, check=False)
-
-
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    factor = np.where(a.data > 0, 1.0, alpha).astype(a.data.dtype)
-
-    def bw(g):
-        return (mul(g, Tensor(factor)),)
-
-    # |output| <= |input| for alpha in [0, 1], so finiteness is inherited
-    return _result(np.where(a.data > 0, a.data, alpha * a.data), "leaky_relu", (a,), bw, check=False)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -471,10 +448,6 @@ def mean_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
     for ax in axes:
         n *= a.shape[ax % a.ndim]
     return scalar_mul(sum_axes(a, axes, keepdims), 1.0 / n)
-
-
-def l1_norm(a: Tensor) -> Tensor:
-    return sum_all(abs_(a))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from jpeggan import cli, datasets, jfif
+from jpeggan import cli, datasets, jfif, networks, training
 
 TINY_INI = """\
 [run]
@@ -152,6 +152,18 @@ class TestTrainingCommands:
         assert run("generate", "--config", tiny_config, "--seed", 5, "--out", out,
                    "--checkpoint", joint / "checkpoint.params", "--count", 0) == 0
         assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    @pytest.mark.parametrize("cols", [0, -1])
+    def test_generate_rejects_grid_cols_below_one(self, tmp_path, tiny_config, cols):
+        spec = networks.GeneratorSpec(latent_dim=6, base_channels=4, path_channels=2,
+                                      quality_factor=60)
+        gen = networks.Generator(spec, np.random.default_rng(0))
+        ckpt = tmp_path / "fresh.params"
+        training.save_checkpoint(ckpt, 0, {"gen": gen.params()}, {})
+        out = tmp_path / "gen"
+        assert run("generate", "--config", tiny_config, "--out", out, "--checkpoint", ckpt,
+                   "--count", 2, "--grid-cols", cols) == cli.EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config):
         assert run("pretrain", "/no/such/place", "--config", tiny_config,

@@ -281,6 +281,23 @@ class TestDifferentiableDecode:
         err = T.gradient_check(f, Tensor(y))
         assert err < 1e-6
 
+    @pytest.mark.parametrize("h, w", [(12, 12), (8, 12)])
+    def test_rejects_luma_not_tiled_by_blocks(self, h, w):
+        y = Tensor(np.zeros((1, 1, h, w)))
+        chroma = Tensor(np.zeros((1, 1, h // 2, w // 2)))
+        with pytest.raises(T.ShapeError, match=f"{h}x{w}"):
+            codec.decode_planes(y, chroma, chroma, 75, "4:2:0")
+
+    def test_tape_budget(self):
+        rng = np.random.default_rng(10)
+        planes = [Tensor(p, requires_grad=True)
+                  for p in self.make_planes(rng, n=2, h=16, w=16, mode="4:2:0")]
+        out = codec.decode_planes(*planes, 75, "4:2:0")
+        ops = [node._op for node in T._toposort(out) if node._parents]
+        # one block map (one matmul) per plane, one 1x1 conv for the color transform
+        assert ops.count("matmul") == 3
+        assert ops.count("conv2d") == 1
+
     def test_clip_blocks_gradient_outside_range(self):
         y = Tensor(np.full((1, 1, 8, 8), 500.0), requires_grad=True)  # forces saturation
         cb = Tensor(np.zeros((1, 1, 8, 8)))

@@ -215,3 +215,10 @@ class TestSampleGrid:
         assert np.array_equal(grid[10:, 10:18], imgs[4].transpose(1, 2, 0))
         assert np.all(grid[8:10, :] == 0)  # the separator rule
         assert np.all(grid[10:, 18:] == 0)  # an empty cell stays background
+
+    @pytest.mark.parametrize("cols", [0, -1])
+    def test_rejects_fewer_than_one_column(self, tmp_path, cols):
+        path = tmp_path / "grid.ppm"
+        with pytest.raises(ValueError, match="column"):
+            datasets.write_sample_grid(path, np.zeros((2, 3, 8, 8)), cols=cols)
+        assert not path.exists()
