@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, codec, datasets, fid, jfif, networks, training
 from . import tensor as T
+from .jpeg import MODES
 from .rng import RngStreams
 from .tensor import NonFiniteError, Tensor
 
@@ -139,10 +140,11 @@ def _apply_flags(args, cfg, issues):
 def _validate(cfg, issues):
     if cfg["run"]["precision"] not in ("f32", "f64"):
         issues.append("precision must be f32 or f64")
-    if not 1 <= cfg["generator"]["quality_factor"] <= 100:
-        issues.append("quality factor must lie in 1..100")
-    if cfg["generator"]["mode"] not in ("4:4:4", "4:2:2", "4:2:0"):
-        issues.append("mode must be one of 4:4:4, 4:2:2, 4:2:0")
+    gen_spec, disc_spec = _specs(cfg)
+    gen_problems = gen_spec.problems()
+    issues += [f"[generator] {p}" for p in gen_problems]
+    # the critic takes the generator's resolution: report a bad one once
+    issues += [f"[discriminator] {p}" for p in disc_spec.problems() if p not in gen_problems]
     if cfg["data"]["count"] < 1:
         issues.append("data count must be >= 1")
     if cfg["data"]["size"] % 16 or cfg["data"]["size"] < 16:
@@ -176,12 +178,17 @@ def _dtype(cfg):
     return np.float32 if cfg["run"]["precision"] == "f32" else np.float64
 
 
-def _build_networks(cfg, dtype):
+def _specs(cfg) -> tuple[networks.GeneratorSpec, networks.DiscriminatorSpec]:
     gen_spec = networks.GeneratorSpec(**cfg["generator"])
     disc_spec = networks.DiscriminatorSpec(
         resolution=cfg["generator"]["resolution"],
         base_channels=cfg["discriminator"]["base_channels"],
     )
+    return gen_spec, disc_spec
+
+
+def _build_networks(cfg, dtype):
+    gen_spec, disc_spec = _specs(cfg)
     rng = np.random.default_rng(cfg["run"]["seed"])
     gen = networks.Generator(gen_spec, rng)
     disc = networks.Discriminator(disc_spec, rng)
@@ -198,6 +205,17 @@ def _load_data(source, cfg, dtype) -> np.ndarray:
     except (OSError, ValueError) as e:
         raise DataError(f"dataset {source}: {e}") from None
     return data.astype(dtype)
+
+
+def _training_data(source, cfg, dtype) -> np.ndarray:
+    data = _load_data(source, cfg, dtype)
+    res = cfg["generator"]["resolution"]
+    if data.shape[2:] != (res, res):
+        h, w = data.shape[2:]
+        raise UsageError(
+            [f"dataset {source}: {h}x{w} images, but [generator] resolution is {res}x{res}"]
+        )
+    return data
 
 
 def _out_dir(args) -> str:
@@ -224,9 +242,9 @@ def _write_manifest(out_dir, command, cfg, extra=None):
 def cmd_pretrain(args) -> int:
     cfg = resolve_config(args)
     dtype = _dtype(cfg)
-    out = _out_dir(args)
     gen, disc = _build_networks(cfg, dtype)
-    data = _load_data(args.data, cfg, dtype)
+    data = _training_data(args.data, cfg, dtype)
+    out = _out_dir(args)
     _write_manifest(out, "pretrain", cfg)
     training.pretrain_baseline(
         gen,
@@ -246,9 +264,8 @@ def cmd_train(args) -> int:
     if (args.pretrained is None) == (args.resume is None):
         raise UsageError(["exactly one of --pretrained and --resume is required"])
     dtype = _dtype(cfg)
-    out = _out_dir(args)
     gen, disc = _build_networks(cfg, dtype)
-    data = _load_data(args.data, cfg, dtype)
+    data = _training_data(args.data, cfg, dtype)
 
     if args.pretrained is not None:
         trunk = {f"trunk.{k}": v for k, v in gen.trunk.params().items()}
@@ -259,6 +276,7 @@ def cmd_train(args) -> int:
     anchor = networks.extract_anchor(gen)
     anchor.freeze()
 
+    out = _out_dir(args)
     _write_manifest(out, "train", cfg)
     training.train(
         gen,
@@ -367,11 +385,10 @@ def cmd_fid(args) -> int:
     feats = []
     for source in (args.set_a, args.set_b):
         images = _load_data(source, cfg, dtype)
-        feats.append(fid.pixel_features(images))
-    if feats[0].shape[1] != feats[1].shape[1]:
-        raise DataError(
-            f"feature dimensions differ: {feats[0].shape[1]} vs {feats[1].shape[1]}"
-        )
+        try:
+            feats.append(fid.pixel_features(images))
+        except ValueError as e:
+            raise DataError(f"dataset {source}: {e}") from None
     value = fid.frechet_distance(
         fid.FidStats.from_features(feats[0]), fid.FidStats.from_features(feats[1])
     )
@@ -395,13 +412,16 @@ def cmd_sweep(args) -> int:
     qfs = _parse_int_list(args.qf_list or "100,75,50,25", "--qf")
     modes = (args.mode_list or "4:4:4,4:2:2,4:2:0").split(",")
     issues = [f"quality factor {q} outside 1..100" for q in qfs if not 1 <= q <= 100]
-    issues += [f"unknown mode {m!r}" for m in modes if m not in ("4:4:4", "4:2:2", "4:2:0")]
+    issues += [f"unknown mode {m!r}" for m in modes if m not in MODES]
     if issues:
         raise UsageError(issues)
     out = _out_dir(args)
     _write_manifest(out, "sweep", cfg, {"quality_factors": qfs, "modes": modes})
     images = _load_data(args.data, cfg, dtype)
-    rows = fid.compression_sweep(images, qfs, modes)
+    try:  # the settings are checked above, so what fails here is the data
+        rows = fid.compression_sweep(images, qfs, modes)
+    except ValueError as e:
+        raise DataError(f"dataset {args.data}: {e}") from None
     fid.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
     return EXIT_OK
 

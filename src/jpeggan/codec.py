@@ -99,9 +99,9 @@ def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
     """Reference decoder: containers that share extents, quality factor and
     mode -> (N, 3, H, W) float pixels in [0, 255].
 
-    The result is a view of pixel-interleaved (N, H, W, 3) memory. Keep it
-    so: reductions such as `fid.pixel_features` sum in an order set by the
-    layout, so the sweep's distances are pinned to this one.
+    The result is a view of pixel-interleaved (N, H, W, 3) memory.
+    `fid.pixel_features` copies it to contiguous NCHW memory before it
+    sums, so the sweep's distances do not depend on this layout.
     """
     encs = list(encs)
     y, cb, cr = _decode_samples(encs)

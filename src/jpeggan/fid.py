@@ -52,13 +52,6 @@ class FidStats:
         self._sum += feats.sum(axis=0)
         self._outer += feats.T @ feats
 
-    def merge(self, other: "FidStats") -> None:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        self.count += other.count
-        self._sum += other._sum
-        self._outer += other._outer
-
     @property
     def mean(self) -> np.ndarray:
         if self.count < 1:

@@ -27,11 +27,10 @@ __all__ = [
 ]
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=None) -> Tensor:
-    """Fan-in scaled uniform init, U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
+def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """Fan-in scaled float64 uniform init, U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
     bound = float(np.sqrt(6.0 / fan_in))
-    data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data.astype(dtype or T.get_default_dtype()), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def block_map(x: Tensor, w: Tensor, b: Tensor | None, bh: int, bw: int) -> Tensor:

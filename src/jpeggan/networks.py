@@ -15,7 +15,7 @@ except the last residual block which keeps the base width.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "to_encoded_images",
     "save_params",
     "load_params",
-    "apply_params",
 ]
 
 
@@ -58,17 +57,21 @@ class GeneratorSpec:
     mode: str = "4:2:0"
     quality_factor: int = 75
 
-    def validate(self) -> None:
-        if self.resolution not in (32, 64):
-            raise ValueError(f"resolution must be 32 or 64, got {self.resolution}")
-        if self.base_channels < 2 or self.base_channels % 2:
-            raise ValueError("base_channels must be even and >= 2")
-        if self.latent_dim < 1 or self.path_channels < 1:
-            raise ValueError("latent_dim and path_channels must be positive")
+    def problems(self) -> list[str]:
+        """One message per setting out of range; empty when the spec is valid."""
+        out = _shape_problems(self.resolution, self.base_channels)
+        if self.latent_dim < 1:
+            out.append(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if self.path_channels < 1:
+            out.append(f"path_channels must be >= 1, got {self.path_channels}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            out.append(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not (0 < self.quality_factor <= 100):
-            raise ValueError(f"quality factor {self.quality_factor} outside (0, 100]")
+            out.append(f"quality factor must lie in 1..100, got {self.quality_factor}")
+        return out
+
+    def validate(self) -> None:
+        _raise_problems(self.problems())
 
 
 @dataclass
@@ -76,11 +79,26 @@ class DiscriminatorSpec:
     resolution: int = 32
     base_channels: int = 128
 
+    def problems(self) -> list[str]:
+        """One message per setting out of range; empty when the spec is valid."""
+        return _shape_problems(self.resolution, self.base_channels)
+
     def validate(self) -> None:
-        if self.resolution not in (32, 64):
-            raise ValueError(f"resolution must be 32 or 64, got {self.resolution}")
-        if self.base_channels < 2 or self.base_channels % 2:
-            raise ValueError("base_channels must be even and >= 2")
+        _raise_problems(self.problems())
+
+
+def _shape_problems(resolution: int, base_channels: int) -> list[str]:
+    out = []
+    if resolution not in (32, 64):
+        out.append(f"resolution must be 32 or 64, got {resolution}")
+    if base_channels < 2 or base_channels % 2:
+        out.append(f"base_channels must be even and >= 2, got {base_channels}")
+    return out
+
+
+def _raise_problems(problems: list[str]) -> None:
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _gen_plan(base: int) -> tuple[int, list[int]]:
@@ -149,9 +167,6 @@ class GeneratorOutput:
     cr: Tensor
     quality_factor: int
     mode: str
-
-    def planes(self) -> tuple[Tensor, Tensor, Tensor]:
-        return self.y, self.cb, self.cr
 
 
 class _CoefficientPath:
@@ -388,16 +403,3 @@ def load_params(path: str) -> dict[str, np.ndarray]:
     if pos != len(blob):
         raise ValueError("trailing bytes after last array")
     return out
-
-
-def apply_params(net, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-    """Copy named arrays into a network's parameters (shapes must match)."""
-    params = net.params()
-    for name, p in params.items():
-        key = prefix + name
-        if key not in arrays:
-            raise KeyError(f"missing parameter {key!r}")
-        a = arrays[key]
-        if tuple(a.shape) != tuple(p.shape):
-            raise ValueError(f"{key}: shape {a.shape} != {p.shape}")
-        p.data[...] = a

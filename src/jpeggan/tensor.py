@@ -1,10 +1,12 @@
 """Dense NCHW tensors with reverse-mode automatic differentiation.
 
 The graph is built eagerly: every operation records its parents and a
-backward closure on the output tensor.  Backward closures are themselves
-written in terms of these same operations, so gradients can be
-differentiated again (``grad(..., create_graph=True)``) — the gradient
-penalty used in adversarial training needs exactly that.
+backward closure on the output tensor.  ``grad`` is the only driver: it
+returns d(output)/d(input) for the inputs asked for and leaves the tape
+intact.  Backward closures are themselves written in terms of these same
+operations, so gradients can be differentiated again
+(``grad(..., create_graph=True)``) — the gradient penalty used in
+adversarial training needs exactly that.
 
 A backward walk computes only the gradients that lead to a requested input:
 closures of ops with several parents take ``needs``, one flag per parent,
@@ -19,10 +21,14 @@ in/out-swapped kernel) and its weight gradient is the tape op
 are bilinear, so derivatives of every order close over ``conv2d``,
 ``conv2d_weight``, ``flip2d`` and ``permute``.
 
+Dtype rule: a float32 or float64 ndarray keeps its dtype and is not copied;
+anything else becomes float64.  Ops compute in their operands' dtype, so an
+f32 graph stays f32.
+
 Execution is single-threaded and serial; given the same seed and op
-sequence, results are bit-identical.  Tensors are immutable once created
-except for the owner-held ``grad`` buffer on leaves (and in-place parameter
-updates performed by an optimizer between graph builds).
+sequence, results are bit-identical.  Tensors are immutable once created,
+apart from in-place parameter updates performed by an optimizer between
+graph builds.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
 mixing allowed is scalar-with-tensor.  ``expand`` exists as the explicit
@@ -43,14 +49,8 @@ __all__ = [
     "NonFiniteError",
     "GraphError",
     "no_grad",
-    "enable_grad",
-    "is_grad_enabled",
-    "set_default_dtype",
-    "get_default_dtype",
-    "default_dtype",
     "zeros",
     "grad",
-    "backward",
     "gradient_check",
 ]
 
@@ -67,35 +67,7 @@ class GraphError(RuntimeError):
     """Backward was asked for something the recorded graph cannot provide."""
 
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dt) -> None:
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dt)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported default dtype {dt}")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
-
-
-@contextmanager
-def default_dtype(dt):
-    """Temporarily switch the dtype used for newly created tensors."""
-    old = _DEFAULT_DTYPE
-    set_default_dtype(dt)
-    try:
-        yield
-    finally:
-        set_default_dtype(old)
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 @contextmanager
@@ -114,10 +86,6 @@ def no_grad():
     return _grad_mode(False)
 
 
-def enable_grad():
-    return _grad_mode(True)
-
-
 def _finite_or_raise(data: np.ndarray, op: str) -> None:
     # One cheap reduction; only on suspicion do the exact elementwise scan.
     # A native-dtype sum can overflow on legitimate inputs, so a non-finite
@@ -133,23 +101,15 @@ def _finite_or_raise(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense array plus optional autodiff bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bw", "_op")
+    __slots__ = ("data", "requires_grad", "_parents", "_bw", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        elif isinstance(data, np.ndarray) and data.dtype in (
-            np.dtype(np.float32),
-            np.dtype(np.float64),
-        ):
-            arr = data  # float arrays keep their precision
-        else:
-            arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
-        self.data = arr
+        if not (isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64)):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._bw: Callable | None = None
         self._op = "leaf"
@@ -178,68 +138,14 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
+        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
 
-    # -- operator sugar -----------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scalar_mul(other, -1.0))
-        return add_scalar(self, -other)
-
-    def __rsub__(self, other):
-        return add_scalar(scalar_mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, pow_const(other, -1.0))
-        return scalar_mul(self, 1.0 / other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return permute(self, axes)
-
-    def sum(self, axes=None, keepdims=False):
-        return sum_axes(self, axes, keepdims) if axes is not None else sum_all(self)
-
-    def mean(self, axes=None, keepdims=False):
-        return mean_axes(self, axes, keepdims) if axes is not None else mean_all(self)
-
-
-def zeros(shape, requires_grad=False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad=requires_grad)
+def zeros(shape, requires_grad=False) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw, check: bool = True) -> Tensor:
@@ -249,7 +155,6 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], bw, check: b
         _finite_or_raise(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -439,15 +344,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     return scalar_mul(sum_all(a), 1.0 / a.size)
-
-
-def mean_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
-    if isinstance(axes, int):
-        axes = (axes,)
-    n = 1
-    for ax in axes:
-        n *= a.shape[ax % a.ndim]
-    return scalar_mul(sum_axes(a, axes, keepdims), 1.0 / n)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -754,24 +650,6 @@ def _walk(
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else add(prev, pg)
     return grads
-
-
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` for every requires-grad leaf.
-
-    The walked portion of the tape is consumed afterwards.
-    """
-    order = _toposort(loss)
-    leaves = [node for node in order if node.requires_grad and node._bw is None]
-    grads = _walk(loss, order, {id(node) for node in leaves}, create_graph=False)
-    for node in leaves:
-        if id(node) in grads:
-            g = grads[id(node)].data
-            node.grad = g.copy() if node.grad is None else node.grad + g
-    for node in order:
-        if node._bw is not None:
-            node._bw = None
-            node._parents = ()
 
 
 def grad(

@@ -77,6 +77,23 @@ class TestConfigResolution:
         assert run("encode", "x.ppm", "--qf", "0", "--out", tmp_path / "o") == 1
         assert "quality factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("[generator]\n", "[generator]\nresolution = 48\n", "[generator] resolution"),
+        ("base_channels = 4\npath", "base_channels = 3\npath", "[generator] base_channels"),
+        ("path_channels = 2", "path_channels = 0", "[generator] path_channels"),
+        ("latent_dim = 6", "latent_dim = 0", "[generator] latent_dim"),
+        ("[discriminator]\nbase_channels = 4", "[discriminator]\nbase_channels = 1",
+         "[discriminator] base_channels"),
+    ], ids=["resolution", "generator-width", "path-channels", "latent-dim", "critic-width"])
+    def test_bad_network_setting_is_one_usage_error(self, tmp_path, capsys, old, new, named):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TINY_INI.replace(old, new))
+        out = tmp_path / "out"
+        assert run("pretrain", "synthetic", "--config", cfg, "--out", out) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
+        assert not out.exists()
+
     def test_missing_subcommand(self):
         assert cli.main([]) == 1
 
@@ -165,6 +182,17 @@ class TestTrainingCommands:
                    "--count", 2, "--grid-cols", cols) == cli.EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_data_extent_must_match_resolution(self, tmp_path, capsys, command):
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(TINY_INI.replace("count = 12", "count = 12\nsize = 48"))
+        out = tmp_path / "out"
+        extra = ["--pretrained", tmp_path / "unused.params"] if command == "train" else []
+        assert run(command, "synthetic", "--config", cfg, "--out", out, *extra) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "48x48" in err and "32x32" in err, err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config):
         assert run("pretrain", "/no/such/place", "--config", tiny_config,
                    "--out", tmp_path / "o") == 2
@@ -250,6 +278,19 @@ class TestAnalysisCommands:
         assert len(lines) == 1 + 4
         fids = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(np.isfinite(fids))
+
+    @pytest.mark.parametrize("command", ["fid", "sweep"])
+    def test_extent_not_multiple_of_8_is_data_error(self, tmp_path, tiny_config, capsys, command):
+        images = tmp_path / "small"
+        images.mkdir()
+        rng = np.random.default_rng(1)
+        for i in range(3):
+            datasets.write_ppm(str(images / f"{i}.ppm"), rng.uniform(0, 255, (12, 12, 3)))
+        sources = [images, images] if command == "fid" else [images]
+        assert run(command, *sources, "--config", tiny_config,
+                   "--out", tmp_path / "out") == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset {images}: ") and "(12, 12)" in err, err
 
     def test_sweep_rejects_bad_lists(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"

@@ -90,16 +90,6 @@ class TestStats:
         assert np.allclose(chunked.mean, whole.mean, atol=1e-12)
         assert np.allclose(chunked.covariance, whole.covariance, atol=1e-12)
 
-    def test_merge_equals_batch(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((60, 4))
-        a = fid.FidStats.from_features(x[:23])
-        b = fid.FidStats.from_features(x[23:])
-        a.merge(b)
-        whole = fid.FidStats.from_features(x)
-        assert a.count == 60
-        assert np.allclose(a.covariance, whole.covariance, atol=1e-12)
-
     def test_estimates_converge(self):
         rng = np.random.default_rng(7)
         chol = np.linalg.cholesky(np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -121,8 +111,6 @@ class TestStats:
             s.update(np.zeros((2, 4)))
         with pytest.raises(ValueError):
             s.update(np.full((1, 3), np.nan))
-        with pytest.raises(ValueError):
-            s.merge(fid.FidStats(4))
 
 
 class TestExtractorsAndSweep:

@@ -1,5 +1,7 @@
 """Optimizer arithmetic, penalty closed forms, loss decomposition, loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,14 @@ class TestTrainingLoops:
         assert all(np.all(m == 0.25) for m in opt_g2.m.values())
         for k, p in gen.params().items():
             assert np.array_equal(p.data, gen2.params()[k].data)
+
+    def test_checkpoint_rejects_shape_mismatch(self, tmp_path):
+        gen, _, _ = build_nets(1)
+        path = tmp_path / "state.params"
+        training.save_checkpoint(path, 0, {"gen": gen.params()}, {})
+        wide = networks.Generator(replace(tiny_specs()[0], base_channels=16), np.random.default_rng(2))
+        with pytest.raises(ValueError, match="shape"):
+            training.load_checkpoint(path, {"gen": wide.params()}, {})
 
 
 class TestPrecision:
