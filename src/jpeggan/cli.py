@@ -89,12 +89,6 @@ _FLAG_KEYS = {
 def _coerce(raw: str, like, where: str, issues: list):
     kind = type(like)
     try:
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         issues.append(f"{where}: cannot read {raw!r} as {kind.__name__}")
@@ -106,10 +100,7 @@ def _load_config_file(path, cfg, issues):
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as e:
-        issues.append(f"--config: {e}")
-        return
-    except configparser.Error as e:
+    except (OSError, configparser.Error) as e:
         issues.append(f"--config: {e}")
         return
     for section in parser.sections():
@@ -149,11 +140,7 @@ def _validate(cfg, issues):
         issues.append("data count must be >= 1")
     if cfg["data"]["size"] % 16 or cfg["data"]["size"] < 16:
         issues.append("data size must be a positive multiple of 16")
-    tc = _train_config(cfg)
-    try:
-        tc.validate()
-    except ValueError as e:
-        issues.append(str(e))
+    issues += [f"[train] {p}" for p in _train_config(cfg).problems()]
 
 
 def resolve_config(args) -> dict:
@@ -268,13 +255,11 @@ def cmd_train(args) -> int:
     data = _training_data(args.data, cfg, dtype)
 
     if args.pretrained is not None:
-        trunk = {f"trunk.{k}": v for k, v in gen.trunk.params().items()}
         try:
-            training.load_checkpoint(args.pretrained, {"gen": trunk, "disc": disc.params()}, {})
+            training.load_pretrained(args.pretrained, gen, disc)
         except (OSError, ValueError) as e:
             raise DataError(f"pretrained checkpoint: {e}") from None
     anchor = networks.extract_anchor(gen)
-    anchor.freeze()
 
     out = _out_dir(args)
     _write_manifest(out, "train", cfg)
@@ -299,13 +284,12 @@ def cmd_generate(args) -> int:
     if args.grid_cols < 1:
         raise UsageError(["--grid-cols must be >= 1"])
     dtype = _dtype(cfg)
-    out = _out_dir(args)
     gen, _ = _build_networks(cfg, dtype)
-    groups = {"gen": gen.params()}
     try:
-        training.load_checkpoint(args.checkpoint, groups, {})
+        training.load_checkpoint(args.checkpoint, {"gen": gen.params()}, {})
     except (OSError, ValueError) as e:
         raise DataError(f"checkpoint: {e}") from None
+    out = _out_dir(args)
     _write_manifest(out, "generate", cfg, {"count": args.count})
 
     streams = RngStreams(cfg["run"]["seed"])
@@ -348,16 +332,18 @@ def _read_image(path) -> np.ndarray:
 
 def cmd_encode(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(args)
     qf = cfg["generator"]["quality_factor"]
     mode = cfg["generator"]["mode"]
-    _write_manifest(out, "encode", cfg, {"inputs": list(args.inputs)})
+    encoded = []
     for path in args.inputs:
         image = _read_image(path)
         try:
-            enc = codec.encode_image(image, qf, mode)
+            encoded.append((path, codec.encode_image(image, qf, mode)))
         except ValueError as e:
             raise DataError(f"{path}: {e}") from None
+    out = _out_dir(args)
+    _write_manifest(out, "encode", cfg, {"inputs": list(args.inputs)})
+    for path, enc in encoded:
         stem = os.path.splitext(os.path.basename(path))[0]
         jfif.write_jfif(enc, os.path.join(out, stem + ".jpg"))
     return EXIT_OK
@@ -365,13 +351,15 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     cfg = resolve_config(args)
-    out = _out_dir(args)
-    _write_manifest(out, "decode", cfg, {"inputs": list(args.inputs)})
+    encoded = []
     for path in args.inputs:
         try:
-            enc = jfif.read_jfif(path)
+            encoded.append((path, jfif.read_jfif(path)))
         except (OSError, ValueError) as e:
             raise DataError(f"{path}: {e}") from None
+    out = _out_dir(args)
+    _write_manifest(out, "decode", cfg, {"inputs": list(args.inputs)})
+    for path, enc in encoded:
         stem = os.path.splitext(os.path.basename(path))[0]
         datasets.write_ppm(os.path.join(out, stem + ".ppm"), codec.decode_image(enc))
     return EXIT_OK
@@ -380,8 +368,6 @@ def cmd_decode(args) -> int:
 def cmd_fid(args) -> int:
     cfg = resolve_config(args)
     dtype = _dtype(cfg)
-    out = _out_dir(args)
-    _write_manifest(out, "fid", cfg, {"set_a": args.set_a, "set_b": args.set_b})
     feats = []
     for source in (args.set_a, args.set_b):
         images = _load_data(source, cfg, dtype)
@@ -392,6 +378,8 @@ def cmd_fid(args) -> int:
     value = fid.frechet_distance(
         fid.FidStats.from_features(feats[0]), fid.FidStats.from_features(feats[1])
     )
+    out = _out_dir(args)
+    _write_manifest(out, "fid", cfg, {"set_a": args.set_a, "set_b": args.set_b})
     with open(os.path.join(out, "fid.csv"), "w") as fh:
         fh.write("set_a,set_b,fid\n")
         fh.write(f"{args.set_a},{args.set_b},{value:.10g}\n")
@@ -415,13 +403,13 @@ def cmd_sweep(args) -> int:
     issues += [f"unknown mode {m!r}" for m in modes if m not in MODES]
     if issues:
         raise UsageError(issues)
-    out = _out_dir(args)
-    _write_manifest(out, "sweep", cfg, {"quality_factors": qfs, "modes": modes})
     images = _load_data(args.data, cfg, dtype)
     try:  # the settings are checked above, so what fails here is the data
         rows = fid.compression_sweep(images, qfs, modes)
     except ValueError as e:
         raise DataError(f"dataset {args.data}: {e}") from None
+    out = _out_dir(args)
+    _write_manifest(out, "sweep", cfg, {"quality_factors": qfs, "modes": modes})
     fid.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
     return EXIT_OK
 

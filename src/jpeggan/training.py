@@ -7,6 +7,12 @@ decoded output plus a weighted L1 pull toward a frozen pixel-space anchor
 network evaluated on the same latents. Updates alternate on two learning
 rates (critic faster), both under Adam.
 
+One training step is three functions: `critic_loss` and `generator_loss`
+build each player's loss on the tape, and `param_grads` differentiates a
+loss with respect to one player's parameters. The training loop and the
+gradient oracles in the tests call the same three, so the step the tests
+check is the step training runs.
+
 All randomness flows through named `RngStreams` spawned per absolute step
 index, so a resumed run takes byte-identical draws to an uninterrupted one.
 """
@@ -30,9 +36,12 @@ __all__ = [
     "DivergenceError",
     "Adam",
     "gradient_penalty",
-    "loss_step",
+    "critic_loss",
+    "generator_loss",
+    "param_grads",
     "train",
     "pretrain_baseline",
+    "load_pretrained",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -56,21 +65,24 @@ class TrainConfig:
     adam_eps: float = 1e-8
     checkpoint_every: int = 0  # 0: only the final state is written
 
+    def problems(self) -> list[str]:
+        """One message per setting out of range; empty when the config is valid."""
+        checks = [
+            (self.steps >= 0, "steps must be >= 0"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.anchor_weight >= 0 and self.gp_weight >= 0, "loss weights must be >= 0"),
+            (self.lr_discriminator > 0 and self.lr_generator > 0, "learning rates must be > 0"),
+            (self.critic_updates_per_gen >= 1, "critic_updates_per_gen must be >= 1"),
+            (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1, "betas must lie in [0, 1)"),
+            (self.adam_eps >= 0, "adam_eps must be >= 0"),
+            (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
+        ]
+        return [message for ok, message in checks if not ok]
+
     def validate(self) -> None:
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.anchor_weight < 0 or self.gp_weight < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.lr_discriminator <= 0 or self.lr_generator <= 0:
-            raise ValueError("learning rates must be > 0")
-        if self.critic_updates_per_gen < 1:
-            raise ValueError("critic_updates_per_gen must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.adam_eps < 0:
-            raise ValueError("adam_eps must be >= 0")
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -87,26 +99,10 @@ class LossReport:
     score_fake_gen: float = 0.0
 
     def csv_row(self) -> list:
-        return [
-            self.step,
-            f"{self.d_loss:.10g}",
-            f"{self.g_loss:.10g}",
-            f"{self.anchor_term:.10g}",
-            f"{self.gp_term:.10g}",
-            f"{self.mean_grad_norm:.10g}",
-        ]
+        return [self.step] + [f"{getattr(self, c):.10g}" for c in CSV_COLUMNS[1:]]
 
     def finite(self) -> bool:
-        return all(
-            np.isfinite(v)
-            for v in (
-                self.d_loss,
-                self.g_loss,
-                self.anchor_term,
-                self.gp_term,
-                self.mean_grad_norm,
-            )
-        )
+        return all(np.isfinite(getattr(self, c)) for c in CSV_COLUMNS[1:])
 
 
 class DivergenceError(RuntimeError):
@@ -189,7 +185,15 @@ def gradient_penalty(
     return penalty, float(norms.data.mean())
 
 
-def _critic_terms(disc_fn, real: np.ndarray, fake: np.ndarray, eps_draws, gp_weight):
+def critic_loss(
+    disc_fn, real: np.ndarray, fake: np.ndarray, eps_draws: np.ndarray, gp_weight: float
+) -> tuple[Tensor, tuple[float, float, float, float]]:
+    """WGAN-GP critic loss: mean D(fake) - mean D(real) + gp_weight * penalty.
+
+    `real` and `fake` are pixel arrays (the fake batch is off the
+    generator's tape). Returns the loss on the tape and
+    `(score_fake, score_real, gp_term, mean_grad_norm)`.
+    """
     n = fake.shape[0]
     both = disc_fn(Tensor(np.concatenate([fake, real])))  # one pass, two scores
     s_fake = T.mean_all(T.slice_axis(both, 0, 0, n))
@@ -198,10 +202,20 @@ def _critic_terms(disc_fn, real: np.ndarray, fake: np.ndarray, eps_draws, gp_wei
     d_loss = T.add(
         T.add(s_fake, T.scalar_mul(s_real, -1.0)), T.scalar_mul(penalty, gp_weight)
     )
-    return d_loss, float(s_fake.data), float(s_real.data), float(penalty.data), mean_norm
+    return d_loss, (float(s_fake.data), float(s_real.data), float(penalty.data), mean_norm)
 
 
-def _generator_terms(disc_fn, fake_t: Tensor, anchor_imgs: np.ndarray | None, anchor_weight):
+def generator_loss(
+    gen_fn, anchor_fn, disc_fn, z: np.ndarray, anchor_weight: float
+) -> tuple[Tensor, tuple[float, float]]:
+    """Generator loss: -mean D(G(z)) + anchor_weight * mean |G(z) - anchor(z)|.
+
+    `gen_fn` maps the latent tensor to pixels on the tape; `anchor_fn` maps
+    the latent array to the frozen reference pixels, or is None (no anchor
+    term). Returns the loss on the tape and `(score_fake, anchor_term)`.
+    """
+    fake_t = gen_fn(Tensor(z))
+    anchor_imgs = None if anchor_fn is None else anchor_fn(z)
     score = T.mean_all(disc_fn(fake_t))
     g_loss = T.scalar_mul(score, -1.0)
     anchor_val = 0.0
@@ -209,55 +223,13 @@ def _generator_terms(disc_fn, fake_t: Tensor, anchor_imgs: np.ndarray | None, an
         gap = T.mean_all(T.abs_(T.add(fake_t, Tensor(-np.asarray(anchor_imgs)))))
         anchor_val = float(gap.data)
         g_loss = T.add(g_loss, T.scalar_mul(gap, anchor_weight))
-    return g_loss, float(score.data), anchor_val
+    return g_loss, (float(score.data), anchor_val)
 
 
-def loss_step(
-    gen_fn,
-    anchor_fn,
-    disc_fn,
-    gen_params: dict[str, Tensor],
-    disc_params: dict[str, Tensor],
-    real: np.ndarray,
-    z: np.ndarray,
-    eps_draws: np.ndarray,
-    cfg: TrainConfig,
-    step: int = 0,
-) -> tuple[LossReport, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Both players' losses and gradients at the current parameters.
-
-    No updates happen here; `gen_fn(z)` must return decoded pixels on the
-    tape and `anchor_fn(z)` the frozen reference pixels (or None). The
-    training loop proper uses separate batches per player; this single-batch
-    form is the oracle-friendly decomposition.
-    """
-    fake_t = gen_fn(Tensor(np.asarray(z)))
-    anchor_imgs = None if anchor_fn is None else anchor_fn(z)
-
-    g_loss, score_fake_gen, anchor_val = _generator_terms(
-        disc_fn, fake_t, anchor_imgs, cfg.anchor_weight
-    )
-    gen_grads_t = T.grad(g_loss, list(gen_params.values()), allow_unused=True)
-    gen_grads = {k: g.data for k, g in zip(gen_params, gen_grads_t)}
-
-    d_loss, s_fake, s_real, gp_val, mean_norm = _critic_terms(
-        disc_fn, np.asarray(real), fake_t.data, eps_draws, cfg.gp_weight
-    )
-    disc_grads_t = T.grad(d_loss, list(disc_params.values()), allow_unused=True)
-    disc_grads = {k: g.data for k, g in zip(disc_params, disc_grads_t)}
-
-    report = LossReport(
-        step=step,
-        d_loss=float(d_loss.data),
-        g_loss=float(g_loss.data),
-        anchor_term=anchor_val,
-        gp_term=gp_val,
-        mean_grad_norm=mean_norm,
-        score_real=s_real,
-        score_fake=s_fake,
-        score_fake_gen=score_fake_gen,
-    )
-    return report, gen_grads, disc_grads
+def param_grads(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """d(loss)/d(param) for each named parameter; zeros where the loss does not reach."""
+    grads = T.grad(loss, list(params.values()), allow_unused=True)
+    return {k: g.data for k, g in zip(params, grads)}
 
 
 class _CsvLog:
@@ -373,43 +345,30 @@ def _run_adversarial(
     try:
         for step in range(start_step, cfg.steps):
             try:
-                d_stats = None
                 for sub in range(cfg.critic_updates_per_gen):
                     tick = step * cfg.critic_updates_per_gen + sub
                     real = _sample_batch(data, streams, f"{phase}-real", tick, cfg.batch_size)
                     z = _latents(streams, f"{phase}-z-critic", tick, cfg.batch_size, latent_dim, dtype)
                     eps = streams.spawn(f"{phase}-gp", tick).uniform(size=cfg.batch_size)
-                    fake = make_fake_eval(z)
-                    d_loss, s_fake, s_real, gp_val, mean_norm = _critic_terms(
-                        disc.forward, real, fake, eps, cfg.gp_weight
+                    d_loss, (s_fake, s_real, gp_val, mean_norm) = critic_loss(
+                        disc.forward, real, make_fake_eval(z), eps, cfg.gp_weight
                     )
-                    grads = T.grad(d_loss, list(disc_params.values()), allow_unused=True)
-                    opt_d.step({k: g.data for k, g in zip(disc_params, grads)})
-                    d_stats = (float(d_loss.data), s_fake, s_real, gp_val, mean_norm)
+                    opt_d.step(param_grads(d_loss, disc_params))
 
                 z = _latents(streams, f"{phase}-z-gen", step, cfg.batch_size, latent_dim, dtype)
-                fake_t = make_fake(Tensor(z))
-                anchor_imgs = None if anchor_eval is None else anchor_eval(z)
-                g_loss, score_fake_gen, anchor_val = _generator_terms(
-                    disc.forward, fake_t, anchor_imgs, cfg.anchor_weight
+                g_loss, (score_fake_gen, anchor_val) = generator_loss(
+                    make_fake, anchor_eval, disc.forward, z, cfg.anchor_weight
                 )
-                grads = T.grad(g_loss, list(gen_params.values()), allow_unused=True)
-                opt_g.step({k: g.data for k, g in zip(gen_params, grads)})
+                opt_g.step(param_grads(g_loss, gen_params))
                 g_val = float(g_loss.data)
-                del g_loss, fake_t  # free the generator's tape before the next critic pass
+                del g_loss  # free the generator's tape before the next critic pass
             except NonFiniteError as exc:
                 raise diverged(step, f"non-finite value in the graph: {exc}") from exc
 
             report = LossReport(
-                step=step,
-                d_loss=d_stats[0],
-                g_loss=g_val,
-                anchor_term=anchor_val,
-                gp_term=d_stats[3],
-                mean_grad_norm=d_stats[4],
-                score_real=d_stats[2],
-                score_fake=d_stats[1],
-                score_fake_gen=score_fake_gen,
+                step=step, d_loss=float(d_loss.data), g_loss=g_val, anchor_term=anchor_val,
+                gp_term=gp_val, mean_grad_norm=mean_norm,
+                score_real=s_real, score_fake=s_fake, score_fake_gen=score_fake_gen,
             )
             if not report.finite():
                 raise diverged(step, "non-finite loss")
@@ -473,9 +432,22 @@ def pretrain_baseline(
     def make_fake(z_t: Tensor) -> Tensor:
         return networks.pixel_head(baseline.trunk.forward(z_t))
 
-    gen_params = {f"trunk.{k}": v for k, v in baseline.trunk.params().items()}
     return _run_adversarial(
-        make_fake, None, gen_params, disc, data, cfg, streams, baseline.spec.latent_dim,
-        phase="pretrain", extra_groups={},
+        make_fake, None, _pretrain_params(baseline), disc, data, cfg, streams,
+        baseline.spec.latent_dim, phase="pretrain", extra_groups={},
         csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )
+
+
+def _pretrain_params(gen: networks.Generator) -> dict[str, Tensor]:
+    """The generator parameters the pretrain phase trains: the trunk's, as `trunk.*`."""
+    return {f"trunk.{k}": v for k, v in gen.trunk.params().items()}
+
+
+def load_pretrained(path, gen: networks.Generator, disc: networks.Discriminator) -> None:
+    """Seed `gen`'s trunk and `disc` from a `pretrain_baseline` checkpoint.
+
+    The checkpoint holds `gen/trunk.*` (the trunk only: the coefficient
+    paths keep their initial weights) and `disc/*`.
+    """
+    load_checkpoint(path, {"gen": _pretrain_params(gen), "disc": disc.params()}, {})

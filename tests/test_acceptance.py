@@ -485,7 +485,6 @@ class TestTrainingSanity:
         # 64, anchor weight 100, penalty weight 10, two time-scale 3e-4/1e-4
         training.pretrain_baseline(gen, disc, data, cfg, RngStreams(11))
         anchor = networks.extract_anchor(gen)
-        anchor.freeze()
 
         def population_distance():
             feats = fid.pixel_features(self._sample_decoded(gen, self.EVAL_SAMPLES))
@@ -573,17 +572,11 @@ class TestPlainAdversarialReduction:
         lam = 10.0
 
         cfg = training.TrainConfig(anchor_weight=0.0, gp_weight=lam)
-        _, gen_grads, disc_grads = training.loss_step(
-            gen_fn,
-            None,
-            disc_fn,
-            {"V": V},
-            {"W": W, "a": a, "b": b},
-            real,
-            z,
-            eps,
-            cfg,
-        )
+        g_loss, _ = training.generator_loss(gen_fn, None, disc_fn, z, cfg.anchor_weight)
+        gen_grads = training.param_grads(g_loss, {"V": V})
+        fake = gen_fn(Tensor(z)).data
+        d_loss, _ = training.critic_loss(disc_fn, real, fake, eps, cfg.gp_weight)
+        disc_grads = training.param_grads(d_loss, {"W": W, "a": a, "b": b})
 
         # ---- independent reference implementation ----
         Vn, Wn, an, bn = V.data, W.data, a.data, b.data

@@ -94,6 +94,23 @@ class TestConfigResolution:
         assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
         assert not out.exists()
 
+    def test_every_bad_train_setting_reported_once(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TINY_INI.replace(
+            "steps = 2\nbatch_size = 4",
+            "steps = -1\nbatch_size = 0\nlr_generator = 0\ncheckpoint_every = -1",
+        ))
+        out = tmp_path / "out"
+        assert run("pretrain", "synthetic", "--config", cfg, "--out", out) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: [train] steps must be >= 0",
+            "error: [train] batch_size must be >= 1",
+            "error: [train] learning rates must be > 0",
+            "error: [train] checkpoint_every must be >= 0",
+        ], err
+        assert not out.exists()
+
     def test_missing_subcommand(self):
         assert cli.main([]) == 1
 
@@ -291,6 +308,25 @@ class TestAnalysisCommands:
                    "--out", tmp_path / "out") == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"error: dataset {images}: ") and "(12, 12)" in err, err
+
+    @pytest.mark.parametrize("command", ["encode", "decode", "fid", "sweep", "generate"])
+    def test_rejected_input_leaves_no_out_dir(self, tmp_path, tiny_config, command):
+        small = tmp_path / "small"
+        small.mkdir()
+        rng = np.random.default_rng(2)
+        for i in range(3):
+            datasets.write_ppm(str(small / f"{i}.ppm"), rng.uniform(0, 255, (12, 12, 3)))
+        missing = tmp_path / "missing"
+        argv = {
+            "encode": ["encode", missing.with_suffix(".ppm")],
+            "decode": ["decode", missing.with_suffix(".jpg")],
+            "fid": ["fid", small, small],
+            "sweep": ["sweep", small],
+            "generate": ["generate", "--checkpoint", missing.with_suffix(".params")],
+        }[command]
+        out = tmp_path / "out"
+        assert run(*argv, "--config", tiny_config, "--out", out) == cli.EXIT_DATA
+        assert not out.exists()
 
     def test_sweep_rejects_bad_lists(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"

@@ -197,41 +197,47 @@ class TestLossStep:
         V, w, b, gen_fn, disc_fn, real, z, eps = self.linear_setup(5)
         anchor = np.zeros((5, 8))
         cfg = training.TrainConfig(anchor_weight=7.0, gp_weight=3.0)
-        report, _, _ = training.loss_step(
-            gen_fn, lambda zz: anchor, disc_fn, {"V": V}, {"w": w, "b": b}, real, z, eps, cfg
+        g_loss, (score_fake_gen, anchor_term) = training.generator_loss(
+            gen_fn, lambda zz: anchor, disc_fn, z, cfg.anchor_weight
         )
-        d_recomputed = report.score_fake - report.score_real + cfg.gp_weight * report.gp_term
-        g_recomputed = -report.score_fake_gen + cfg.anchor_weight * report.anchor_term
-        assert abs(report.d_loss - d_recomputed) < 1e-9
-        assert abs(report.g_loss - g_recomputed) < 1e-9
+        fake = gen_fn(Tensor(z)).data
+        d_loss, (score_fake, score_real, gp_term, _) = training.critic_loss(
+            disc_fn, real, fake, eps, cfg.gp_weight
+        )
+        d_recomputed = score_fake - score_real + cfg.gp_weight * gp_term
+        g_recomputed = -score_fake_gen + cfg.anchor_weight * anchor_term
+        assert abs(float(d_loss.data) - d_recomputed) < 1e-9
+        assert abs(float(g_loss.data) - g_recomputed) < 1e-9
 
     def test_zero_gamma_kills_anchor_term(self):
         V, w, b, gen_fn, disc_fn, real, z, eps = self.linear_setup(6)
         cfg = training.TrainConfig(anchor_weight=0.0)
-        report, _, _ = training.loss_step(
-            gen_fn, lambda zz: np.ones((5, 8)), disc_fn, {"V": V}, {"w": w, "b": b},
-            real, z, eps, cfg,
+        g_loss, (score_fake_gen, anchor_term) = training.generator_loss(
+            gen_fn, lambda zz: np.ones((5, 8)), disc_fn, z, cfg.anchor_weight
         )
-        assert report.anchor_term == 0.0
-        assert abs(report.g_loss + report.score_fake_gen) < 1e-12
+        assert anchor_term == 0.0
+        assert abs(float(g_loss.data) + score_fake_gen) < 1e-12
 
     def test_matching_anchor_gives_zero_term(self):
         V, w, b, gen_fn, disc_fn, real, z, eps = self.linear_setup(7)
         fake = (np.asarray(z) @ V.data)
         cfg = training.TrainConfig(anchor_weight=4.0)
-        report, _, _ = training.loss_step(
-            gen_fn, lambda zz: fake, disc_fn, {"V": V}, {"w": w, "b": b}, real, z, eps, cfg
+        _, (_, anchor_term) = training.generator_loss(
+            gen_fn, lambda zz: fake, disc_fn, z, cfg.anchor_weight
         )
-        assert report.anchor_term < 1e-15
+        assert anchor_term < 1e-15
 
     def test_gradients_match_manual_linear_wgan(self):
         # linear G and D make every gradient of the objective closed-form
         V, w, b, gen_fn, disc_fn, real, z, eps = self.linear_setup(8)
         cfg = training.TrainConfig(anchor_weight=0.0, gp_weight=10.0)
-        report, gen_grads, disc_grads = training.loss_step(
-            gen_fn, None, disc_fn, {"V": V}, {"w": w, "b": b}, real, z, eps, cfg
+        g_loss, _ = training.generator_loss(gen_fn, None, disc_fn, z, cfg.anchor_weight)
+        gen_grads = training.param_grads(g_loss, {"V": V})
+        fake = gen_fn(Tensor(z)).data
+        d_loss, (_, _, _, mean_grad_norm) = training.critic_loss(
+            disc_fn, real, fake, eps, cfg.gp_weight
         )
-        fake = z @ V.data
+        disc_grads = training.param_grads(d_loss, {"w": w, "b": b})
         wv = w.data[:, 0]
         norm = np.sqrt(wv @ wv + training.GRAD_NORM_EPS)
         want_dw = (
@@ -243,7 +249,7 @@ class TestLossStep:
         assert abs(disc_grads["b"][0]) < 1e-12  # constant offset cancels
         want_dV = -np.einsum("nk,l->kl", z, wv) / z.shape[0]
         assert np.allclose(gen_grads["V"], want_dV, atol=1e-10)
-        assert abs(report.mean_grad_norm - norm) < 1e-9
+        assert abs(mean_grad_norm - norm) < 1e-9
 
 
 class TestTrainingLoops:
@@ -277,19 +283,24 @@ class TestTrainingLoops:
             )
 
     def test_deterministic_given_seed(self, tmp_path):
-        runs = []
-        for _ in range(2):
-            gen, anchor, disc = build_nets(3)
-            path = tmp_path / f"log{len(runs)}.csv"
-            reports = training.train(
-                gen, anchor, disc, self.data(), self.small_cfg(), RngStreams(7), csv_path=path
-            )
-            runs.append((reports, path.read_bytes(), gen.params()))
-        assert runs[0][1] == runs[1][1]
-        for a, b in zip(runs[0][0], runs[1][0]):
-            assert a == b
-        for k in runs[0][2]:
-            assert np.array_equal(runs[0][2][k].data, runs[1][2][k].data)
+        logs = {}
+        for critic_updates in (1, 2):
+            runs = []
+            for _ in range(2):
+                gen, anchor, disc = build_nets(3)
+                path = tmp_path / f"log{critic_updates}-{len(runs)}.csv"
+                cfg = self.small_cfg(critic_updates_per_gen=critic_updates)
+                reports = training.train(
+                    gen, anchor, disc, self.data(), cfg, RngStreams(7), csv_path=path
+                )
+                runs.append((reports, path.read_bytes(), gen.params()))
+            assert runs[0][1] == runs[1][1]
+            for a, b in zip(runs[0][0], runs[1][0]):
+                assert a == b
+            for k in runs[0][2]:
+                assert np.array_equal(runs[0][2][k].data, runs[1][2][k].data)
+            logs[critic_updates] = runs[0][1]
+        assert logs[1] != logs[2]  # the second critic update takes effect
 
     def test_losses_logged_and_finite(self, tmp_path):
         gen, anchor, disc = build_nets(4)
@@ -305,29 +316,29 @@ class TestTrainingLoops:
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         data = self.data()
-        ckpt = tmp_path / "ck.params"
+        for critic_updates in (1, 2):
+            ckpt = tmp_path / f"ck{critic_updates}.params"
 
-        gen_a, anchor_a, disc_a = build_nets(5)
-        full = training.train(
-            gen_a, anchor_a, disc_a, data, self.small_cfg(steps=4), RngStreams(9)
-        )
+            def cfg(steps):
+                return self.small_cfg(steps=steps, critic_updates_per_gen=critic_updates)
 
-        gen_b, anchor_b, disc_b = build_nets(5)
-        training.train(
-            gen_b, anchor_b, disc_b, data, self.small_cfg(steps=2), RngStreams(9),
-            checkpoint_path=ckpt,
-        )
-        resumed = training.train(
-            gen_b, anchor_b, disc_b, data, self.small_cfg(steps=4), RngStreams(9),
-            resume_from=ckpt,
-        )
-        assert [r.step for r in resumed] == [2, 3]
-        for r_full, r_res in zip(full[2:], resumed):
-            assert abs(r_full.d_loss - r_res.d_loss) < 1e-12
-            assert abs(r_full.g_loss - r_res.g_loss) < 1e-12
-        pa, pb = gen_a.params(), gen_b.params()
-        for k in pa:
-            assert np.array_equal(pa[k].data, pb[k].data), k
+            gen_a, anchor_a, disc_a = build_nets(5)
+            full = training.train(gen_a, anchor_a, disc_a, data, cfg(4), RngStreams(9))
+
+            gen_b, anchor_b, disc_b = build_nets(5)
+            training.train(
+                gen_b, anchor_b, disc_b, data, cfg(2), RngStreams(9), checkpoint_path=ckpt
+            )
+            resumed = training.train(
+                gen_b, anchor_b, disc_b, data, cfg(4), RngStreams(9), resume_from=ckpt
+            )
+            assert [r.step for r in resumed] == [2, 3]
+            for r_full, r_res in zip(full[2:], resumed):
+                assert abs(r_full.d_loss - r_res.d_loss) < 1e-12
+                assert abs(r_full.g_loss - r_res.g_loss) < 1e-12
+            pa, pb = gen_a.params(), gen_b.params()
+            for k in pa:
+                assert np.array_equal(pa[k].data, pb[k].data), k
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
