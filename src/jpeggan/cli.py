@@ -206,7 +206,10 @@ def _training_data(source, cfg, dtype) -> np.ndarray:
 
 
 def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise UsageError([f"--out {args.out}: {e.strerror}"]) from None
     return args.out
 
 

@@ -13,12 +13,14 @@ closures of ops with several parents take ``needs``, one flag per parent,
 and may return None in place of a gradient that is not needed.
 
 Convolution is one lowering: K-major patches times one GEMM, run over
-blocks of images whose patch matrix fits in a core's L2 cache, so no patch
-matrix is ever built for a whole batch or kept on the tape.  Its input
-gradient is again a convolution (of the output gradient with the flipped,
-in/out-swapped kernel) and its weight gradient is the tape op
-``conv2d_weight``, which sums per-block GEMMs over the same patches.  Both
-are bilinear, so derivatives of every order close over ``conv2d``,
+blocks of images sized by the GEMM that consumes them.  A narrow GEMM (few
+output channels) is bound by memory and gets a block that leaves room in
+L2 for BLAS's packed copy of it; a wide one is bound by compute and gets a
+block of an L2 or more.  No patch matrix outlives its call or is kept on
+the tape.  Its input gradient is again a convolution (of the output gradient
+with the flipped, in/out-swapped kernel) and its weight gradient is the tape
+op ``conv2d_weight``, which sums per-block GEMMs over the same patches.
+Both are bilinear, so derivatives of every order close over ``conv2d``,
 ``conv2d_weight``, ``flip2d`` and ``permute``.
 
 Dtype rule: a float32 or float64 ndarray keeps its dtype and is not copied;
@@ -425,23 +427,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- spatial ops on NCHW ----------------------------------------------------
 
 
-_BLOCK_BYTES = 1 << 21  # patch-matrix bytes per image block: one core's L2
+_L2_BYTES = 1 << 21  # one core's L2 cache; fixed, so block sums are the same on every machine
 
 
-def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+def _block_images(N: int, K: int, L: int, O: int, itemsize: int) -> int:
+    """Images per block for a GEMM of O rows against a (K, n*L) patch block.
+
+    The block's patch bytes, K*n*L*itemsize, stay within
+    `2 * _L2_BYTES * O / (O + 16)`, at least one image and at most all N.
+    The GEMM does O multiply-adds per patch element. At small O it is
+    bound by memory: BLAS packs the block into a buffer of its own, so the
+    block and that copy are read from L2 only if the block takes well
+    under half of it (0.4 L2 at O = 4). At large O it is bound by compute:
+    the budget passes L2 at O = 16 and tends to 2 L2, so the (O, K) weight
+    matrix is streamed once per many images.
+    """
+    budget = 2 * _L2_BYTES * O // (O + 16)
+    return max(1, min(N, budget // (K * L * itemsize)))
+
+
+def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, O: int):
     """Yield (s, e, cols) over groups of images s:e of an NCHW array.
 
     `cols` is the K-major patch matrix of those images, (C*kh*kw, n*OH*OW)
     with n = e - s: rows in (C, kh, kw) order, as an (O, C, kh, kw) kernel
-    flattens, columns in (n, OH, OW) order. A block holds as many images as
-    fit in `_BLOCK_BYTES` (at least one). The padded images and the patch
-    matrix live in buffers that every block reuses, so `cols` is only valid
-    until the next block is drawn.
+    flattens, columns in (n, OH, OW) order. `O` is the row count of the GEMM
+    that consumes each block, which sets the block size (`_block_images`).
+    The padded images and the patch matrix live in buffers that every block
+    reuses, so `cols` is only valid until the next block is drawn.
     """
     N, C, H, W = x.shape
     OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
     K, L = C * kh * kw, OH * OW
-    nb = max(1, min(N, _BLOCK_BYTES // (K * L * x.itemsize)))
+    nb = _block_images(N, K, L, O, x.itemsize)
     padded = np.zeros((nb, C, H + 2 * ph, W + 2 * pw), x.dtype) if ph or pw else None
     buf = np.empty(K * nb * L, x.dtype)
     for s in range(0, N, nb):
@@ -483,10 +501,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
 
     `padding` is one zero pad for both spatial axes, or a (ph, pw) pair; a
     pad wider than kernel extent - 1 is rejected. Lowered to K-major patches
-    times one GEMM, but over blocks of images whose patch matrix fits in
-    `_BLOCK_BYTES`: each block's W(O, K) @ cols(K, n*OH*OW) fills its
-    columns of one (O, N*OH*OW) product, returned as an NCHW view. No patch
-    matrix outlives the call.
+    times one GEMM, but over blocks of images sized for that GEMM's O rows
+    (`_block_images`): each block's W(O, K) @ cols(K, n*OH*OW) fills its
+    columns of one (O, N*OH*OW) product, returned as an NCHW view. Every
+    network layer has OH*OW a multiple of 16, so block boundaries leave each
+    output element's sum order as it is. No patch matrix outlives the call.
 
     The backward is built from differentiable ops, so derivatives of every
     order close over `conv2d`, `conv2d_weight`, `flip2d` and `permute`. The
@@ -510,7 +529,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
 
     wm = w.data.reshape(O, C * kh * kw)
     out = np.empty((O, N * L), dtype=np.result_type(x.data, w.data))
-    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw):
+    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw, O):
         np.matmul(wm, cols, out=out[:, s * L : e * L])
     if b is not None:
         out += b.data[:, None]
@@ -533,9 +552,10 @@ def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int, padding: int | tuple[i
     <conv2d(x, w), g> = <w, V> for every w.
 
     `g` is (N, O, OH, OW), shaped like `conv2d(x, w, padding=padding)`.
-    Sums g_block(O, n*OH*OW) @ cols_blockᵀ over the same image blocks as
-    the forward. Bilinear in (x, g): its gradient with respect to g is
-    conv2d(x, V) and with respect to x the flipped-kernel conv of g.
+    Sums g_block(O, n*OH*OW) @ cols_blockᵀ over image blocks sized for
+    that O-row GEMM, as the forward's are. Bilinear in (x, g): its gradient
+    with respect to g is conv2d(x, V) and with respect to x the
+    flipped-kernel conv of g.
     """
     if x.ndim != 4 or g.ndim != 4:
         raise ShapeError("conv2d_weight expects NCHW input and gradient")
@@ -548,7 +568,7 @@ def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int, padding: int | tuple[i
     L = OH * OW
     gt = g.data.transpose(1, 0, 2, 3)
     d_w = np.zeros((O, C * kh * kw), dtype=np.result_type(x.data, g.data))
-    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw):
+    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw, O):
         d_w += gt[:, s:e].reshape(O, (e - s) * L) @ cols.T
 
     def bw(v, needs):

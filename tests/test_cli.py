@@ -210,6 +210,13 @@ class TestTrainingCommands:
         assert "48x48" in err and "32x32" in err, err
         assert not out.exists()
 
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "afile"
+        out.write_bytes(b"")
+        assert run("pretrain", "synthetic", "--config", tiny_config,
+                   "--out", out) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+
     def test_missing_dataset_is_data_error(self, tmp_path, tiny_config):
         assert run("pretrain", "/no/such/place", "--config", tiny_config,
                    "--out", tmp_path / "o") == 2
@@ -275,6 +282,16 @@ class TestCodecCommands:
         bad = tmp_path / "bad.jpg"
         bad.write_bytes(b"\x00\x01\x02")
         assert run("decode", bad, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["is-a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_usage_error(self, tmp_path, capsys, ppms, inside):
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"not a directory")
+        out = blocker / "sub" if inside else blocker
+        assert run("encode", ppms[0], "--out", out) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: "), err
+        assert blocker.read_bytes() == b"not a directory"
 
 
 class TestAnalysisCommands:

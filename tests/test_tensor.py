@@ -9,7 +9,7 @@ finite-difference check THROUGH a differentiated gradient (double backward).
 import numpy as np
 import pytest
 
-from jpeggan import layers
+from jpeggan import codec, layers, networks
 from jpeggan import tensor as T
 from jpeggan.tensor import Tensor
 
@@ -380,8 +380,105 @@ class TestConv2dBackward:
         assert y.shape == (1, 1, 7, 9)
 
 
+class TestBlockImages:
+    """`_block_images`, the images per block of a conv's patch matrix."""
+
+    NS = (1, 3, 64, 128)
+    KLS = (16 * 9, 36 * 1024, 1152 * 16, 1 << 22)  # K*L; K = C*kh*kw, L = OH*OW
+    OS = (1, 2, 3, 4, 8, 16, 32, 64, 128, 512)
+
+    @staticmethod
+    def factors(kl):
+        return [(k, kl // k) for k in (1, 9, 16, 36, 144) if kl % k == 0]
+
+    def test_between_one_and_n_images_within_the_budget(self):
+        for N in self.NS:
+            for kl in self.KLS:
+                for K, L in self.factors(kl):
+                    for O in self.OS:
+                        for itemsize in (4, 8):
+                            nb = T._block_images(N, K, L, O, itemsize)
+                            assert 1 <= nb <= N
+                            budget = 2 * T._L2_BYTES * O // (O + 16)
+                            if kl * itemsize <= budget:
+                                assert nb * kl * itemsize <= budget, (N, K, L, O, itemsize)
+
+    def test_smaller_o_never_gets_a_larger_block(self):
+        for N in self.NS:
+            for kl in self.KLS:
+                for itemsize in (4, 8):
+                    for O_small in self.OS:
+                        for O_large in (O for O in self.OS if O >= O_small):
+                            for Ka, La in self.factors(kl):
+                                for Kb, Lb in self.factors(kl):
+                                    small = T._block_images(N, Ka, La, O_small, itemsize)
+                                    assert small <= T._block_images(N, Kb, Lb, O_large, itemsize)
+
+    def test_narrow_gemms_leave_room_wide_ones_get_an_l2(self):
+        def block_bytes(O):  # f32 patches of a 3x3 conv on 4 x 32x32 channels: 144 KiB an image
+            return T._block_images(1000, 36, 1024, O, 4) * 36 * 1024 * 4
+
+        # room for BLAS's packed copy beside the block
+        assert block_bytes(2) < block_bytes(4) < T._L2_BYTES // 2
+        # a weight matrix streamed once per many images
+        assert T._L2_BYTES <= block_bytes(32) <= block_bytes(128) <= 2 * T._L2_BYTES
+
+
+class TestNetworkConvBlocks:
+    """Every conv of the generator and critic, forward and critic input
+    gradient, under the block rule: the forward equals one image per block
+    bit for bit, and the weight gradient equals one block to rounding."""
+
+    @staticmethod
+    def conv_calls(monkeypatch, width, critic_width, path_channels, dtype, n):
+        rng = np.random.default_rng(width)
+        spec = networks.GeneratorSpec(latent_dim=8, base_channels=width, path_channels=path_channels)
+        gen = networks.Generator(spec, rng)
+        disc = networks.Discriminator(networks.DiscriminatorSpec(base_channels=critic_width), rng)
+        networks.cast_params(gen, dtype)
+        networks.cast_params(disc, dtype)
+        calls = []
+        conv2d = T.conv2d
+
+        def recorded(x, w, b=None, padding=0):
+            calls.append((x.data, w.data, padding))
+            return conv2d(x, w, b, padding)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "conv2d", recorded)
+            out = gen.forward(Tensor(rng.normal(size=(n, 8)).astype(dtype)))
+            pixels = codec.decode_planes(out.y, out.cb, out.cr, out.quality_factor, out.mode)
+            pixels = Tensor(pixels.data, requires_grad=True)
+            T.grad(T.sum_all(disc.forward(pixels)), [pixels])
+        return calls
+
+    @pytest.mark.parametrize("width, critic_width, path_channels, dtype", [
+        (4, 8, 2, np.float32),  # the pinned protocol
+        (128, 128, 4, np.float64),  # the command-line defaults
+    ], ids=["pinned-f32", "default-f64"])
+    def test_rule_matches_single_image_and_single_block(self, monkeypatch, width, critic_width,
+                                                        path_channels, dtype):
+        rng = np.random.default_rng(9)
+        calls = self.conv_calls(monkeypatch, width, critic_width, path_channels, dtype, 3)
+        assert len(calls) > 20
+        for x, w, p in calls:
+            kh, kw = w.shape[2:]
+            ruled = T.conv2d(Tensor(x), Tensor(w), padding=p).data
+            g = Tensor(rng.normal(size=ruled.shape).astype(dtype))
+            ruled_w = T.conv2d_weight(Tensor(x), g, kh, kw, p).data
+            with monkeypatch.context() as m:
+                m.setattr(T, "_L2_BYTES", 1)  # one image per block
+                single = T.conv2d(Tensor(x), Tensor(w), padding=p).data
+                m.setattr(T, "_L2_BYTES", 1 << 40)  # the whole batch in one block
+                whole_w = T.conv2d_weight(Tensor(x), g, kh, kw, p).data
+            assert np.array_equal(ruled, single), (x.shape, w.shape)
+            if dtype == np.float64:
+                err = np.max(np.abs(ruled_w - whole_w)) / np.max(np.abs(whole_w))
+                assert err <= 1e-12, (x.shape, w.shape, err)
+
+
 class TestBlockedLowering:
-    """conv2d and conv2d_weight run over image blocks of `_BLOCK_BYTES`."""
+    """conv2d and conv2d_weight run over image blocks sized by `_block_images`."""
 
     # (H, W) per case giving a 4x8 output: every layer of the networks has
     # OH*OW a multiple of 16, and then a block boundary leaves each output
@@ -398,9 +495,10 @@ class TestBlockedLowering:
         x, w, b = self.values(kh, kw, *self.EXTENTS[kh, kw, p])
         one = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
         assert one.shape[2:] == (4, 8)
-        # two images per block: blocks of 2, 2 and 1 image
-        monkeypatch.setattr(T, "_BLOCK_BYTES", 2 * 2 * kh * kw * 32 * 8)
-        starts = [s for s, _, _ in T._patch_blocks(x, kh, kw, p, p)]
+        # two images per block: blocks of 2, 2 and 1 image; the O = 3 budget
+        # is 6/19 of the L2 constant
+        monkeypatch.setattr(T, "_L2_BYTES", 19 * (2 * 2 * kh * kw * 32 * 8) // 6 + 1)
+        starts = [s for s, _, _ in T._patch_blocks(x, kh, kw, p, p, 3)]
         assert starts == [0, 2, 4]
         blocked = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
         assert np.array_equal(blocked, one)
@@ -490,8 +588,8 @@ class TestAdjointPairs:
         # <conv2d(x, w), g> == <w, conv2d_weight(x, g)>, as a map of w
         rng = np.random.default_rng(20)
         x = Tensor(rng.normal(size=(3, 3, 6, 5)))
-        for block_bytes in (T._BLOCK_BYTES, 1):  # one block, then one image per block
-            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        for l2_bytes in (T._L2_BYTES, 1):  # one block, then one image per block
+            monkeypatch.setattr(T, "_L2_BYTES", l2_bytes)
             for kh, kw, p in [(3, 3, 0), (3, 3, 1), (2, 3, 1), (1, 1, 0), (3, 2, (1, 0))]:
                 self.inner_check(
                     rng,
