@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -52,28 +53,10 @@ class DataError(Exception):
 DEFAULTS = {
     "run": {"seed": 0, "precision": "f64"},
     "data": {"count": 1000, "size": 32},
-    "train": {
-        "steps": 2000,
-        "batch_size": 64,
-        "anchor_weight": 100.0,
-        "gp_weight": 10.0,
-        "lr_discriminator": 3e-4,
-        "lr_generator": 1e-4,
-        "critic_updates_per_gen": 1,
-        "beta1": 0.0,
-        "beta2": 0.9,
-        "adam_eps": 1e-8,
-        "checkpoint_every": 0,
-    },
-    "generator": {
-        "latent_dim": 128,
-        "resolution": 32,
-        "base_channels": 128,
-        "path_channels": 4,
-        "quality_factor": 75,
-        "mode": "4:2:0",
-    },
-    "discriminator": {"base_channels": 128},
+    "train": dataclasses.asdict(training.TrainConfig()),
+    "generator": dataclasses.asdict(networks.GeneratorSpec()),
+    # the critic's resolution is the generator's
+    "discriminator": {"base_channels": networks.DiscriminatorSpec.base_channels},
 }
 
 # flag/environment name -> config location
@@ -307,7 +290,6 @@ def cmd_generate(args) -> int:
                 batch.y, batch.cb, batch.cr, batch.quality_factor, batch.mode
             ).data
         for i, enc in enumerate(networks.to_encoded_images(batch)):
-            enc.validate()
             path = os.path.join(out, f"sample_{written + i:05d}.jpg")
             jfif.write_jfif(enc, path)
             back = jfif.read_jfif(path)  # self-check: the file must decode to

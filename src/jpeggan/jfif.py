@@ -3,12 +3,21 @@
 Writes real, decoder-compatible files: interleaved MCUs, DC prediction,
 run/size entropy coding with the standard baseline Huffman tables, byte
 stuffing, and 16-bit quantization tables when coarse scaling overflows a
-byte. The reader handles exactly the subset the writer emits and reports
-byte offsets on malformed input; it is not a general-purpose decoder.
+byte. Each scan is coded as one bit string: the writer joins its code and
+value bits, pads them with 1-bits to a whole byte and stuffs every 0xFF once
+(T.81 B.1.1.5, F.1.2); the reader finds the scan's end, unstuffs it once and
+reads codes and values by slicing.
+
+The reader handles exactly the subset the writer emits. It rejects frame and
+scan headers whose sampling factors, table selectors or spectral selection
+differ from the writer's (T.81 B.2.2, B.2.3), and reports byte offsets on
+malformed input; it is not a general-purpose decoder.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import struct
 
 import numpy as np
@@ -82,6 +91,25 @@ AC_CHROMA = (
 
 _EOB, _ZRL = 0x00, 0xF0
 
+# (table class, table id) -> table, in the order the writer emits DHT segments
+_HUFFMAN = {(0, 0): DC_LUMA, (0, 1): DC_CHROMA, (1, 0): AC_LUMA, (1, 1): AC_CHROMA}
+
+# (component id, plane, quantization table, DC and AC Huffman table) per
+# component. The writer emits SOF0 and SOS from this table and the reader
+# accepts no other.
+_COMPONENTS = ((1, "y", 0, 0), (2, "cb", 1, 1), (3, "cr", 1, 1))
+
+# mode -> (horizontal, vertical) sampling factors of each component; luma's
+# are the largest, so they give the MCU's extent in blocks
+_SAMPLING = {mode: (jpeg.mode_factors(mode)[::-1], (1, 1), (1, 1)) for mode in jpeg.MODES}
+
+# Ns, then (Cs, Td << 4 | Ta) per component, then Ss = 0, Se = 63, Ah = Al = 0
+_SOS = bytes(
+    [len(_COMPONENTS), *(b for cid, _, _, t in _COMPONENTS for b in (cid, t << 4 | t)), 0, 63, 0]
+)
+
+_ZZ = jpeg.ZIGZAG_INDEX.tolist()
+
 
 def _canonical_codes(table):
     """value -> (code, length) assignment for a (counts, symbols) table."""
@@ -96,162 +124,84 @@ def _canonical_codes(table):
     return codes
 
 
-def _canonical_decoder(table):
-    return {cl: v for v, cl in _canonical_codes(table).items()}
+def _code_strings(table):
+    """value -> code as a bit string; codes an overfull table cannot fit are dropped."""
+    return {v: format(c, f"0{n}b") for v, (c, n) in _canonical_codes(table).items() if c >> n == 0}
 
 
-class _BitWriter:
-    """MSB-first bit sink with 0xFF byte stuffing and 1-bit final padding."""
-
-    def __init__(self):
-        self.out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def put(self, value: int, nbits: int) -> None:
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            byte = (self._acc >> (self._nbits - 8)) & 0xFF
-            self._nbits -= 8
-            self.out.append(byte)
-            if byte == 0xFF:
-                self.out.append(0x00)
-
-    def flush(self) -> None:
-        if self._nbits:
-            pad = 8 - self._nbits
-            self.put((1 << pad) - 1, pad)
+_CODES = {key: _code_strings(table) for key, table in _HUFFMAN.items()}
 
 
-class _BitReader:
-    """Entropy-segment reader: un-stuffs 0xFF 0x00, stops at any marker."""
-
-    def __init__(self, data: bytes, start: int):
-        self.data = data
-        self.pos = start
-        self._acc = 0
-        self._nbits = 0
-        self.marker_pos = None  # set once a real marker terminates the segment
-
-    def _pull_byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise ValueError(f"offset {self.pos}: entropy data ran off the end")
-        b = self.data[self.pos]
-        if b == 0xFF:
-            if self.pos + 1 >= len(self.data):
-                raise ValueError(f"offset {self.pos}: dangling 0xFF")
-            nxt = self.data[self.pos + 1]
-            if nxt != 0x00:
-                self.marker_pos = self.pos
-                raise ValueError(
-                    f"offset {self.pos}: marker 0xFF{nxt:02X} inside entropy data"
-                )
-            self.pos += 2
-            return 0xFF
-        self.pos += 1
-        return b
-
-    def bit(self) -> int:
-        if not self._nbits:
-            self._acc = self._pull_byte()
-            self._nbits = 8
-        self._nbits -= 1
-        return (self._acc >> self._nbits) & 1
-
-    def bits(self, n: int) -> int:
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.bit()
-        return v
-
-    def huffman(self, decoder) -> int:
-        code, length = 0, 0
-        while length < 16:
-            code = (code << 1) | self.bit()
-            length += 1
-            sym = decoder.get((code, length))
-            if sym is not None:
-                return sym
-        raise ValueError(f"offset {self.pos}: no Huffman code matches")
-
-    def align(self) -> None:
-        self._nbits = 0
+@functools.lru_cache(maxsize=8)
+def _decode_map(table: tuple[bytes, bytes]) -> dict:
+    """code bit string -> value for a file's DHT table. Files repeat the
+    standard tables, so each map is built once; callers only read it."""
+    return {s: v for v, s in _code_strings(table).items()}
 
 
-def _category(v: int) -> int:
-    return int(abs(v)).bit_length()
+def _mcu_grid(height: int, width: int, mode: str) -> tuple[int, int]:
+    h, v = _SAMPLING[mode][0]
+    return height // (8 * v), width // (8 * h)
 
 
-def _value_bits(v: int, size: int) -> int:
-    return v if v >= 0 else v + (1 << size) - 1
+def _mcu_order(height: int, width: int, mode: str):
+    """(component index, block row, block column) of every block in scan
+    order: MCUs row by row, and in each MCU every component's v x h blocks
+    row by row (T.81 A.2.3)."""
+    rows, cols = _mcu_grid(height, width, mode)
+    for my in range(rows):
+        for mx in range(cols):
+            for c, (h, v) in enumerate(_SAMPLING[mode]):
+                for by in range(v):
+                    for bx in range(h):
+                        yield c, my * v + by, mx * h + bx
 
 
-def _extend(raw: int, size: int) -> int:
-    if size == 0:
-        return 0
-    if raw < (1 << (size - 1)):
-        return raw - (1 << size) + 1
-    return raw
+def _value_bits(v: int, size: int) -> str:
+    return format(v if v >= 0 else v + (1 << size) - 1, f"0{size}b")
 
 
-def _encode_block(writer, zz, pred, dc_codes, ac_codes):
-    diff = int(zz[0]) - pred
-    size = _category(diff)
+def _encode_block(bits: list, zz: list, pred: int, dc_codes, ac_codes) -> None:
+    diff = zz[0] - pred
+    size = abs(diff).bit_length()
     if size > 11:
         raise ValueError(f"DC difference {diff} exceeds the baseline range")
-    code, length = dc_codes[size]
-    writer.put(code, length)
+    bits.append(dc_codes[size])
     if size:
-        writer.put(_value_bits(diff, size), size)
+        bits.append(_value_bits(diff, size))
     run = 0
-    for k in range(1, 64):
-        v = int(zz[k])
-        if v == 0:
+    for v in zz[1:]:
+        if not v:
             run += 1
             continue
-        size = _category(v)
+        size = abs(v).bit_length()
         if size > 10:
             raise ValueError(f"AC coefficient {v} exceeds the baseline range")
-        while run >= 16:
-            code, length = ac_codes[_ZRL]
-            writer.put(code, length)
-            run -= 16
-        code, length = ac_codes[(run << 4) | size]
-        writer.put(code, length)
-        writer.put(_value_bits(v, size), size)
+        if run > 15:
+            bits.append(ac_codes[_ZRL] * (run >> 4))
+            run &= 15
+        bits.append(ac_codes[run << 4 | size])
+        bits.append(_value_bits(v, size))
         run = 0
     if run:
-        code, length = ac_codes[_EOB]
-        writer.put(code, length)
-    return int(zz[0])
+        bits.append(ac_codes[_EOB])
 
 
-def _decode_block(reader, pred, dc_dec, ac_dec):
-    zz = np.zeros(64, dtype=np.int64)
-    size = reader.huffman(dc_dec)
-    if size > 11:  # baseline DC categories are 0..11 (T.81, F.1.2.1)
-        raise ValueError(f"offset {reader.pos}: DC category {size} exceeds 11")
-    zz[0] = pred + _extend(reader.bits(size), size)
-    k = 1
-    while k < 64:
-        sym = reader.huffman(ac_dec)
-        if sym == _EOB:
-            break
-        run, size = sym >> 4, sym & 0x0F
-        if size == 0:
-            if run != 15:
-                raise ValueError(f"offset {reader.pos}: bad zero-size AC symbol {sym:#x}")
-            k += 16
-            continue
-        if size > 10:  # baseline AC sizes are 1..10 (T.81, F.1.2.2)
-            raise ValueError(f"offset {reader.pos}: AC size {size} exceeds 10")
-        k += run
-        if k > 63:
-            raise ValueError(f"offset {reader.pos}: AC run overflows the block")
-        zz[k] = _extend(reader.bits(size), size)
-        k += 1
-    return zz, int(zz[0])
+def _scan_bytes(enc: EncodedImage) -> bytes:
+    """The entropy-coded segment: one bit string, 1-padded, stuffed once."""
+    planes = []
+    for _, plane, _, _ in _COMPONENTS:
+        p = getattr(enc, plane)
+        planes.append(p.reshape(*p.shape[:2], 64)[..., jpeg.ZIGZAG_INDEX].tolist())
+    bits, pred = [], [0] * len(_COMPONENTS)
+    for c, r, col in _mcu_order(enc.height, enc.width, enc.mode):
+        t = _COMPONENTS[c][3]
+        zz = planes[c][r][col]
+        _encode_block(bits, zz, pred[c], _CODES[0, t], _CODES[1, t])
+        pred[c] = zz[0]
+    s = "".join(bits)
+    s += "1" * (-len(s) % 8)
+    return int(s or "0", 2).to_bytes(len(s) // 8, "big").replace(b"\xff", b"\xff\x00")
 
 
 def _segment(marker: int, payload: bytes) -> bytes:
@@ -270,50 +220,25 @@ def _dht_payload(table_class: int, table_id: int, table) -> bytes:
     return bytes([table_class << 4 | table_id]) + bytes(counts) + bytes(symbols)
 
 
-def _luma_sampling(mode: str) -> tuple[int, int]:
-    fv, fh = jpeg.mode_factors(mode)
-    return fh, fv  # JFIF orders horizontal factor first
+def _sof_payload(height: int, width: int, mode: str) -> bytes:
+    out = struct.pack(">BHHB", 8, height, width, len(_COMPONENTS))
+    for (cid, _, tq, _), (h, v) in zip(_COMPONENTS, _SAMPLING[mode]):
+        out += bytes([cid, h << 4 | v, tq])
+    return out
 
 
 def encode_jfif(enc: EncodedImage) -> bytes:
     enc.validate()
     ql, qc = jpeg.quant_matrices(enc.quality_factor)
-    h_luma, v_luma = _luma_sampling(enc.mode)
-
     out = bytearray(b"\xff\xd8")
     out += _segment(0xE0, b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + b"\x00\x00")
     out += _segment(0xDB, _dqt_payload(0, ql))
     out += _segment(0xDB, _dqt_payload(1, qc))
-    sof = struct.pack(">BHHB", 8, enc.height, enc.width, 3)
-    sof += bytes([1, h_luma << 4 | v_luma, 0])
-    sof += bytes([2, 0x11, 1]) + bytes([3, 0x11, 1])
-    out += _segment(0xC0, sof)
-    for table_class, table_id, table in (
-        (0, 0, DC_LUMA),
-        (0, 1, DC_CHROMA),
-        (1, 0, AC_LUMA),
-        (1, 1, AC_CHROMA),
-    ):
+    out += _segment(0xC0, _sof_payload(enc.height, enc.width, enc.mode))
+    for (table_class, table_id), table in _HUFFMAN.items():
         out += _segment(0xC4, _dht_payload(table_class, table_id, table))
-    out += _segment(0xDA, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
-
-    dc_l, ac_l = _canonical_codes(DC_LUMA), _canonical_codes(AC_LUMA)
-    dc_c, ac_c = _canonical_codes(DC_CHROMA), _canonical_codes(AC_CHROMA)
-    writer = _BitWriter()
-    pred = [0, 0, 0]
-    mcu_rows = enc.height // (8 * v_luma)
-    mcu_cols = enc.width // (8 * h_luma)
-    for my in range(mcu_rows):
-        for mx in range(mcu_cols):
-            for by in range(v_luma):
-                for bx in range(h_luma):
-                    zz = jpeg.zigzag(enc.y[my * v_luma + by, mx * h_luma + bx])
-                    pred[0] = _encode_block(writer, zz, pred[0], dc_l, ac_l)
-            for ci, plane in ((1, enc.cb), (2, enc.cr)):
-                zz = jpeg.zigzag(plane[my, mx])
-                pred[ci] = _encode_block(writer, zz, pred[ci], dc_c, ac_c)
-    writer.flush()
-    out += writer.out
+    out += _segment(0xDA, _SOS)
+    out += _scan_bytes(enc)
     out += b"\xff\xd9"
     return bytes(out)
 
@@ -346,12 +271,105 @@ def _recover_quality(ql: np.ndarray, qc: np.ndarray) -> int:
     raise ValueError("quantization tables match no quality factor in 1..100")
 
 
+def _check_header(payload: bytes, expected: bytes, offset: int, name: str) -> None:
+    """Raise at the first byte where a header differs from the writer's."""
+    if payload != expected:
+        same = [a == b for a, b in zip(payload, expected)]
+        at = same.index(False) if False in same else len(same)
+        raise ValueError(f"offset {offset + at}: {name} differs from the 3-component baseline header")
+
+
+def _parse_sof(payload: bytes, offset: int) -> tuple[int, int, str]:
+    """(height, width, mode) of a frame header the writer could have emitted."""
+    if len(payload) < 15:  # header plus three 3-byte component specs
+        raise ValueError(f"offset {offset}: truncated SOF0 segment")
+    _, height, width = struct.unpack(">BHH", payload[:5])
+    luma = payload[7]  # an unknown sampling byte is reported against the 4:4:4 header
+    mode = next((m for m, ((h, v), *_) in _SAMPLING.items() if luma == h << 4 | v), "4:4:4")
+    _check_header(payload, _sof_payload(height, width, mode), offset, "SOF0")
+    h, v = _SAMPLING[mode][0]
+    if height % (8 * v) or width % (8 * h):
+        raise ValueError(f"offset {offset + 1}: extent {width}x{height} is not MCU-aligned")
+    return height, width, mode
+
+
+def _decode_scan(data: bytes, start: int, planes: list, order, codes: dict) -> int:
+    """Decode the scan that begins at `start` into `planes` (row-major blocks
+    of 64, in component order) along `order`; return the offset just past the
+    scan's last byte, padding included."""
+    stuffed, end = [], data.find(b"\xff", start)
+    while end != -1 and data[end + 1 : end + 2] == b"\x00":
+        stuffed.append(end - start - len(stuffed))  # the 0xFF's index once unstuffed
+        end = data.find(b"\xff", end + 2)
+    end = len(data) if end == -1 else end
+    bits = bin(int.from_bytes(b"\x01" + data[start:end].replace(b"\xff\x00", b"\xff"), "big"))[3:]
+
+    def offset(byte: int) -> int:
+        return start + byte + bisect.bisect_left(stuffed, byte)
+
+    def bad(at: int, message: str) -> ValueError:
+        return ValueError(f"offset {offset(at // 8)}: {message}")
+
+    def ran_out() -> ValueError:
+        nxt = data[end + 1 : end + 2]
+        if nxt and nxt != b"\xd9":
+            return ValueError(f"offset {end}: marker 0xFF{nxt[0]:02X} inside entropy data")
+        return ValueError(f"offset {end}: entropy data ran off the end")
+
+    def code(at: int, table: dict) -> tuple[int, int]:
+        for n in range(1, 17):
+            sym = table.get(bits[at : at + n])
+            if sym is not None:
+                return sym, at + n
+        raise ran_out() if at + 16 > len(bits) else bad(at, "no Huffman code matches")
+
+    def value(at: int, size: int) -> tuple[int, int]:  # T.81 F.2.2.1 EXTEND, size >= 1
+        if at + size > len(bits):
+            raise ran_out()
+        raw = int(bits[at : at + size], 2)
+        return (raw if raw >> (size - 1) else raw - (1 << size) + 1), at + size
+
+    pred, pos = [0] * len(_COMPONENTS), 0
+    for c, r, col in order:
+        t = _COMPONENTS[c][3]
+        block = [0] * 64
+        at = pos
+        size, pos = code(pos, codes[0, t])
+        if size > 11:  # baseline DC categories are 0..11 (T.81, F.1.2.1)
+            raise bad(at, f"DC category {size} exceeds 11")
+        if size:
+            diff, pos = value(pos, size)
+            pred[c] += diff
+        block[0] = pred[c]
+        k = 1
+        while k < 64:
+            at = pos
+            sym, pos = code(pos, codes[1, t])
+            if sym == _EOB:
+                break
+            run, size = sym >> 4, sym & 0x0F
+            if size == 0:
+                if run != 15:
+                    raise bad(at, f"bad zero-size AC symbol {sym:#x}")
+                k += 16
+                continue
+            if size > 10:  # baseline AC sizes are 1..10 (T.81, F.1.2.2)
+                raise bad(at, f"AC size {size} exceeds 10")
+            k += run
+            if k > 63:
+                raise bad(at, "AC run overflows the block")
+            block[_ZZ[k]], pos = value(pos, size)
+            k += 1
+        planes[c][r, col] = block
+    return offset(-(-pos // 8))
+
+
 def decode_jfif(data: bytes) -> EncodedImage:
     if len(data) < 4 or data[0:2] != b"\xff\xd8":
         raise ValueError("offset 0: missing SOI marker")
     pos = 2
     qtables: dict[int, np.ndarray] = {}
-    htables: dict[tuple[int, int], tuple[list, list]] = {}
+    htables: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     sof = None
     scan_start = None
     while pos < len(data):
@@ -377,77 +395,37 @@ def decode_jfif(data: bytes) -> EncodedImage:
             p = 0
             while p < len(payload):
                 tc, th = payload[p] >> 4, payload[p] & 0x0F
-                counts = list(payload[p + 1 : p + 17])
+                counts = payload[p + 1 : p + 17]
                 n = sum(counts)
-                symbols = list(payload[p + 17 : p + 17 + n])
+                symbols = payload[p + 17 : p + 17 + n]
                 if len(counts) != 16 or len(symbols) != n:
                     raise ValueError(f"offset {seg_offset + p}: truncated DHT table")
                 htables[(tc, th)] = (counts, symbols)
                 p += 17 + n
         elif marker == 0xC0:
-            if len(payload) < 15:  # header plus three 3-byte component specs
-                raise ValueError(f"offset {seg_offset}: truncated SOF0 segment")
-            precision, height, width, ncomp = struct.unpack(">BHHB", payload[:6])
-            if precision != 8 or ncomp != 3:
-                raise ValueError(f"offset {seg_offset}: only 8-bit 3-component baseline")
-            comps = []
-            for i in range(3):
-                cid, hv, tq = payload[6 + 3 * i : 9 + 3 * i]
-                comps.append((cid, hv >> 4, hv & 0x0F, tq))
-            sof = (height, width, comps)
+            sof = _parse_sof(payload, seg_offset)
         elif marker in (0xC1, 0xC2, 0xC3, 0xC5, 0xC6, 0xC7):
             raise ValueError(f"offset {seg_offset}: unsupported SOF type {marker:#04x}")
         elif marker == 0xDA:
+            _check_header(payload, _SOS, seg_offset, "SOS")
             scan_start = pos
             break
         # APPn / COM / anything else: skipped
     if sof is None or scan_start is None:
-        raise ValueError("missing SOF0 or SOS segment")
-    height, width, comps = sof
-    if [c[0] for c in comps] != [1, 2, 3]:
-        raise ValueError("unexpected component ids")
-    h_luma, v_luma = comps[0][1], comps[0][2]
-    for cid, h, v, _tq in comps[1:]:
-        if (h, v) != (1, 1):
-            raise ValueError(f"component {cid}: chroma sampling {h}x{v} unsupported")
-    mode_by_hv = {(1, 1): "4:4:4", (2, 1): "4:2:2", (2, 2): "4:2:0"}
-    mode = mode_by_hv.get((h_luma, v_luma))
-    if mode is None:
-        raise ValueError(f"luma sampling {h_luma}x{v_luma} maps to no supported mode")
-    if height % (8 * v_luma) or width % (8 * h_luma):
-        raise ValueError(f"extent {width}x{height} is not MCU-aligned")
+        raise ValueError(f"offset {pos}: missing SOF0 or SOS segment")
+    height, width, mode = sof
     if 0 not in qtables or 1 not in qtables:
-        raise ValueError("missing quantization tables")
-    needed = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    if any(k not in htables for k in needed):
-        raise ValueError("missing Huffman tables")
+        raise ValueError(f"offset {scan_start}: missing quantization tables")
+    if any(k not in htables for k in _HUFFMAN):
+        raise ValueError(f"offset {scan_start}: missing Huffman tables")
+    codes = {k: _decode_map(htables[k]) for k in _HUFFMAN}
 
-    dc_l = _canonical_decoder(htables[(0, 0)])
-    dc_c = _canonical_decoder(htables[(0, 1)])
-    ac_l = _canonical_decoder(htables[(1, 0)])
-    ac_c = _canonical_decoder(htables[(1, 1)])
-
-    mcu_rows = height // (8 * v_luma)
-    mcu_cols = width // (8 * h_luma)
-    blocks = mcu_rows * mcu_cols * (h_luma * v_luma + 2)
+    rows, cols = _mcu_grid(height, width, mode)
+    blocks = rows * cols * sum(h * v for h, v in _SAMPLING[mode])
     if 2 * blocks > 8 * (len(data) - scan_start):  # a DC code and an AC code per block
         raise ValueError(f"offset {scan_start}: scan too short for a {width}x{height} image")
-    y = np.zeros((mcu_rows * v_luma, mcu_cols * h_luma, 8, 8), dtype=np.int64)
-    cb = np.zeros((mcu_rows, mcu_cols, 8, 8), dtype=np.int64)
-    cr = np.zeros((mcu_rows, mcu_cols, 8, 8), dtype=np.int64)
-    reader = _BitReader(data, scan_start)
-    pred = [0, 0, 0]
-    for my in range(mcu_rows):
-        for mx in range(mcu_cols):
-            for by in range(v_luma):
-                for bx in range(h_luma):
-                    zz, pred[0] = _decode_block(reader, pred[0], dc_l, ac_l)
-                    y[my * v_luma + by, mx * h_luma + bx] = jpeg.inverse_zigzag(zz)
-            for ci, plane in ((1, cb), (2, cr)):
-                zz, pred[ci] = _decode_block(reader, pred[ci], dc_c, ac_c)
-                plane[my, mx] = jpeg.inverse_zigzag(zz)
-    reader.align()
-    end = reader.pos
+    planes = [np.zeros((rows * v, cols * h, 64), dtype=np.int64) for h, v in _SAMPLING[mode]]
+    end = _decode_scan(data, scan_start, planes, _mcu_order(height, width, mode), codes)
     if data[end : end + 2] != b"\xff\xd9":
         raise ValueError(f"offset {end}: expected EOI after the scan")
     if data[end + 2 :]:
@@ -458,17 +436,16 @@ def decode_jfif(data: bytes) -> EncodedImage:
         height=height,
         quality_factor=_recover_quality(qtables[0], qtables[1]),
         mode=mode,
-        y=y,
-        cb=cb,
-        cr=cr,
+        **{plane: p.reshape(*p.shape[:2], 8, 8) for (_, plane, _, _), p in zip(_COMPONENTS, planes)},
     )
     enc.validate()
     return enc
 
 
 def write_jfif(enc: EncodedImage, path) -> None:
+    data = encode_jfif(enc)  # before open: a rejected container leaves no file
     with open(path, "wb") as fh:
-        fh.write(encode_jfif(enc))
+        fh.write(data)
 
 
 def read_jfif(path) -> EncodedImage:

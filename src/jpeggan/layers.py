@@ -126,9 +126,6 @@ class ChromaSubsample:
         self.mode = mode
         self.fv, self.fh = mode_factors(mode)
 
-    def params(self) -> dict[str, Tensor]:
-        return {}
-
     def forward(self, x: Tensor) -> Tensor:
         if self.fv == self.fh == 1:
             return x
@@ -150,17 +147,11 @@ class Quantization:
             raise ValueError("need an 8x8 matrix with entries >= 1")
         self.q = q
 
-    def params(self) -> dict[str, Tensor]:
-        return {}
-
-    def tiled(self, h: int, w: int, dtype) -> np.ndarray:
-        if h % 8 or w % 8:
-            raise T.ShapeError(f"plane {h}x{w} not divisible by 8")
-        return np.tile(self.q, (h // 8, w // 8)).astype(dtype)
-
     def forward(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
-        inv = Tensor(1.0 / self.tiled(h, w, x.data.dtype))
+        if h % 8 or w % 8:
+            raise T.ShapeError(f"plane {h}x{w} not divisible by 8")
+        inv = Tensor(1.0 / np.tile(self.q, (h // 8, w // 8)).astype(x.data.dtype))
         scaled = T.mul(x, T.expand(T.reshape(inv, (1, 1, h, w)), (n, c, h, w)))
         return T.round_ste(scaled)
 

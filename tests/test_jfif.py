@@ -1,5 +1,6 @@
 """Bitstream round trips, Huffman table sanity, and external-decoder agreement."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -128,6 +129,55 @@ class TestRoundTrip:
             assert jfif.decode_jfif(jfif.encode_jfif(enc)).quality_factor == qf
 
 
+def sparse_encoded():
+    enc = random_encoded(np.random.default_rng(35), qf=75, mode="4:2:0", dc=3, ac=0)
+    enc.y[0, 0, 7, 7] = 1  # zigzag index 63 after a run of 62 zeros: three ZRLs
+    enc.cb[0, 0, 4, 3] = -2
+    return enc
+
+
+class TestPinnedBytes:
+    # sha256 of encode_jfif output, recorded before the scan coder was
+    # rewritten: round trips cannot see a self-consistent change of bitstream
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: random_encoded(np.random.default_rng(31), qf=50, mode="4:4:4"),
+                "69cfffcd9a3cbd8e74aeaf1cb4acca711bc57f44f6b3a9bcbd553ccef572dbe1",
+            ),
+            (
+                lambda: random_encoded(np.random.default_rng(32), qf=50, mode="4:2:2"),
+                "9d97c2807c1334740916ba89201df43b7d58558186e36982b102469438abf921",
+            ),
+            (
+                lambda: random_encoded(np.random.default_rng(33), qf=50, mode="4:2:0", h=32, w=48),
+                "f2cbbc9a93f0e74f6418894cee2f957a8f89bb4e09084c892e1a6d826eb54064",
+            ),
+            (  # 16-bit DQT
+                lambda: random_encoded(np.random.default_rng(34), qf=5, mode="4:4:4"),
+                "330ffa61547a869b3bece426207e94f724d691cd43b8faa5d8797a46c072b45d",
+            ),
+            (  # seven stuffed 0xFF bytes in the scan
+                lambda: random_encoded(
+                    np.random.default_rng(0), qf=90, mode="4:2:0", h=16, w=16, dc=500, ac=60
+                ),
+                "61802a5dcd0285b10c91749290997ec2c51c763bb1382da66f0e7955d68364bf",
+            ),
+            (sparse_encoded, "a86902e1fd9bffc1a2d132433132d7d2313f117891cffd9c0fc202dd375467b5"),
+            (
+                lambda: codec.encode_image(
+                    datasets.synthetic_dataset(0, 1, size=32)[0].transpose(1, 2, 0), 75, "4:2:0"
+                ),
+                "a32b83227b11f3556196a02dcc115e51bf1c0cd772ab832c588bd7b72e502d00",
+            ),
+        ],
+        ids=["444", "422", "420-48x32", "qf5-16bit-dqt", "stuffing", "zrl", "synthetic"],
+    )
+    def test_encoder_output_is_pinned(self, make, digest):
+        assert hashlib.sha256(jfif.encode_jfif(make())).hexdigest() == digest
+
+
 class TestStructure:
     def test_framing_and_app0(self):
         enc = random_encoded(np.random.default_rng(5))
@@ -209,16 +259,46 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"offset \\d+: {match}"):
             jfif.decode_jfif(bytes(data))
 
+    def test_marker_inside_the_scan(self):
+        data = jfif.encode_jfif(random_encoded(np.random.default_rng(16)))
+        start = data.index(b"\xff\xda") + 14  # SOS marker and its 12-byte segment
+        mid = (start + len(data) - 2) // 2
+        with pytest.raises(ValueError, match="offset"):
+            jfif.decode_jfif(data[:mid] + b"\xff\xd0" + data[mid:])  # RST0
 
-VALID_JFIF = jfif.encode_jfif(random_encoded(np.random.default_rng(21), mode="4:4:4", h=8, w=8))
+    def test_extra_byte_before_eoi(self):
+        data = jfif.encode_jfif(random_encoded(np.random.default_rng(17)))
+        with pytest.raises(ValueError, match="offset"):
+            jfif.decode_jfif(data[:-2] + b"\x00" + data[-2:])
+
+    @pytest.mark.parametrize(
+        "marker, index, value",
+        [(b"\xff\xda", 8, 0x00), (b"\xff\xda", 12, 0), (b"\xff\xc0", 15, 0)],
+        ids=["sos-cb-tables", "sos-se", "sof-cb-tq"],
+    )
+    def test_headers_outside_the_writers_subset(self, marker, index, value):
+        data = bytearray(jfif.encode_jfif(random_encoded(np.random.default_rng(18), mode="4:2:0")))
+        data[data.index(marker) + index] = value
+        with pytest.raises(ValueError, match="offset"):
+            jfif.decode_jfif(bytes(data))
 
 
+FUZZ_INPUTS = {
+    "8x8-444": jfif.encode_jfif(random_encoded(np.random.default_rng(21), mode="4:4:4", h=8, w=8)),
+    # 16x16 4:2:0 whose scan holds stuffed 0xFF bytes
+    "16x16-420-stuffed": jfif.encode_jfif(
+        random_encoded(np.random.default_rng(0), qf=90, mode="4:2:0", h=16, w=16, dc=500, ac=60)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ_INPUTS)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.integers(0, len(VALID_JFIF) - 1), st.integers(0, 255)), min_size=1, max_size=3))
-def test_corrupt_bytes_raise_only_value_error(edits):
-    data = bytearray(VALID_JFIF)
+@given(st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=3))
+def test_corrupt_bytes_raise_only_value_error(name, edits):
+    data = bytearray(FUZZ_INPUTS[name])
     for pos, value in edits:
-        data[pos] = value
+        data[pos % len(data)] = value
     try:
         jfif.decode_jfif(bytes(data))
     except ValueError:
