@@ -244,9 +244,12 @@ def encode_jfif(enc: EncodedImage) -> bytes:
 
 
 def _parse_dqt(payload: bytes, tables: dict, offset: int) -> None:
+    """Add each table of a DQT segment to `tables` as tq: (table, offset of
+    its Pq/Tq byte)."""
     pos = 0
     while pos < len(payload):
         pq, tq = payload[pos] >> 4, payload[pos] & 0x0F
+        at = offset + pos
         pos += 1
         if pq not in (0, 1) or tq > 3:
             raise ValueError(f"offset {offset + pos}: bad DQT header byte")
@@ -259,16 +262,26 @@ def _parse_dqt(payload: bytes, tables: dict, offset: int) -> None:
             )
         else:
             vec = np.frombuffer(payload[pos : pos + 64], dtype=np.uint8).astype(np.int64)
-        tables[tq] = jpeg.inverse_zigzag(vec)
+        tables[tq] = jpeg.inverse_zigzag(vec), at
         pos += 64 * width
 
 
-def _recover_quality(ql: np.ndarray, qc: np.ndarray) -> int:
-    for q in range(1, 101):
-        cl, cc = jpeg.quant_matrices(q)
-        if np.array_equal(cl, ql) and np.array_equal(cc, qc):
-            return q
-    raise ValueError("quantization tables match no quality factor in 1..100")
+def _table_key(table: np.ndarray) -> tuple:
+    return tuple(table.ravel().tolist())  # by value: 16 and 16.0 are one key
+
+
+# every quality factor has its own luma table, so that table alone names q
+_QUALITY_BY_LUMA = {_table_key(jpeg.quant_matrices(q)[0]): q for q in range(1, 101)}
+
+
+def _recover_quality(qtables: dict) -> int:
+    (ql, at_l), (qc, at_c) = qtables[0], qtables[1]
+    q = _QUALITY_BY_LUMA.get(_table_key(ql))
+    if q is None:
+        raise ValueError(f"offset {at_l}: luma quantization table matches no quality factor in 1..100")
+    if not np.array_equal(qc, jpeg.quant_matrices(q)[1]):
+        raise ValueError(f"offset {at_c}: chroma quantization table does not match quality factor {q}")
+    return q
 
 
 def _check_header(payload: bytes, expected: bytes, offset: int, name: str) -> None:
@@ -368,7 +381,7 @@ def decode_jfif(data: bytes) -> EncodedImage:
     if len(data) < 4 or data[0:2] != b"\xff\xd8":
         raise ValueError("offset 0: missing SOI marker")
     pos = 2
-    qtables: dict[int, np.ndarray] = {}
+    qtables: dict[int, tuple[np.ndarray, int]] = {}
     htables: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     sof = None
     scan_start = None
@@ -434,11 +447,14 @@ def decode_jfif(data: bytes) -> EncodedImage:
     enc = EncodedImage(
         width=width,
         height=height,
-        quality_factor=_recover_quality(qtables[0], qtables[1]),
+        quality_factor=_recover_quality(qtables),
         mode=mode,
         **{plane: p.reshape(*p.shape[:2], 8, 8) for (_, plane, _, _), p in zip(_COMPONENTS, planes)},
     )
-    enc.validate()
+    try:
+        enc.validate()
+    except ValueError as e:
+        raise ValueError(f"offset {scan_start}: {e}") from None
     return enc
 
 

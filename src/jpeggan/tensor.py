@@ -16,12 +16,15 @@ Convolution is one lowering: K-major patches times one GEMM, run over
 blocks of images sized by the GEMM that consumes them.  A narrow GEMM (few
 output channels) is bound by memory and gets a block that leaves room in
 L2 for BLAS's packed copy of it; a wide one is bound by compute and gets a
-block of an L2 or more.  No patch matrix outlives its call or is kept on
-the tape.  Its input gradient is again a convolution (of the output gradient
-with the flipped, in/out-swapped kernel) and its weight gradient is the tape
-op ``conv2d_weight``, which sums per-block GEMMs over the same patches.
-Both are bilinear, so derivatives of every order close over ``conv2d``,
-``conv2d_weight``, ``flip2d`` and ``permute``.
+block of an L2 or more.  Each block's patch matrix is copied from flat,
+zero-margined image planes through one strided view, a whole output image
+per kernel tap in one run; the few taps that wrap into a neighbouring row
+instead of the pad are zeroed after the copy.  No patch matrix outlives its
+call or is kept on the tape.  Its input gradient is again a convolution (of
+the output gradient with the flipped, in/out-swapped kernel) and its weight
+gradient is the tape op ``conv2d_weight``, which sums per-block GEMMs over
+the same patches.  Both are bilinear, so derivatives of every order close
+over ``conv2d``, ``conv2d_weight``, ``flip2d`` and ``permute``.
 
 Dtype rule: a float32 or float64 ndarray keeps its dtype and is not copied;
 anything else becomes float64.  Ops compute in their operands' dtype, so an
@@ -453,28 +456,52 @@ def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, O: int):
     with n = e - s: rows in (C, kh, kw) order, as an (O, C, kh, kw) kernel
     flattens, columns in (n, OH, OW) order. `O` is the row count of the GEMM
     that consumes each block, which sets the block size (`_block_images`).
-    The padded images and the patch matrix live in buffers that every block
-    reuses, so `cols` is only valid until the next block is drawn.
+
+    Each image plane is copied flat, rows R = max(W, OW) apart, behind
+    ph*R + pw zeros and ahead of enough zeros for the last window. Kernel
+    tap (i, j) of output (oh, ow) then sits i*R + j + oh*R + ow into the
+    plane, so one strided view reads every tap's whole output image as a
+    single run of OH*OW elements (rows of OW when R > OW, a pad narrower
+    than (kw-1)/2). A tap whose column ow + j - pw falls outside [0, W)
+    reads the end of a neighbouring row instead of a pad zero; those
+    columns are zeroed after the copy. A 1x1 kernel needs no margin and
+    copies x itself, channel-major. The planes and the patch matrix live in
+    buffers that every block reuses, so `cols` is only valid until the next
+    block is drawn.
     """
     N, C, H, W = x.shape
     OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
     K, L = C * kh * kw, OH * OW
     nb = _block_images(N, K, L, O, x.itemsize)
-    padded = np.zeros((nb, C, H + 2 * ph, W + 2 * pw), x.dtype) if ph or pw else None
     buf = np.empty(K * nb * L, x.dtype)
+    if kh == kw == 1:
+        for s in range(0, N, nb):
+            e = min(s + nb, N)
+            cols = buf[: K * (e - s) * L].reshape(C, e - s, H, W)
+            cols[...] = x[s:e].transpose(1, 0, 2, 3)
+            yield s, e, cols.reshape(K, (e - s) * L)
+        return
+    R = max(W, OW)
+    planes = np.zeros((nb, C, (H + 2 * ph) * R + kw - 1), x.dtype)
+    front = ph * R + pw
+    rows = planes[:, :, front : front + H * R].reshape(nb, C, H, R)[..., :W]
+    sN, sC, item = planes.strides
+    win = np.lib.stride_tricks.as_strided(
+        planes, shape=(C, kh, kw, nb, OH, OW), strides=(sC, R * item, item, sN, R * item, item),
+        writeable=False,
+    )
+    # per kernel column j, the output columns whose tap lies left or right of the image
+    wrapped = [
+        (j, slice(lo, hi)) for j in range(kw) for lo, hi in ((0, pw - j), (max(0, W + pw - j), OW)) if lo < hi
+    ]
     for s in range(0, N, nb):
         e = min(s + nb, N)
         n = e - s
-        src = x[s:e]
-        if padded is not None:
-            src = padded[:n]
-            src[:, :, ph : ph + H, pw : pw + W] = x[s:e]
-        sN, sC, sH, sW = src.strides
-        win = np.lib.stride_tricks.as_strided(
-            src, shape=(C, kh, kw, n, OH, OW), strides=(sC, sH, sW, sN, sH, sW), writeable=False
-        )
+        rows[:n] = x[s:e]
         cols = buf[: K * n * L].reshape(C, kh, kw, n, OH, OW)
-        cols[...] = win  # whole image rows (OW elements) per copy
+        cols[...] = win[:, :, :, :n]
+        for j, cut in wrapped:
+            cols[:, :, j, :, :, cut] = 0
         yield s, e, cols.reshape(K, n * L)
 
 
@@ -503,9 +530,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
     pad wider than kernel extent - 1 is rejected. Lowered to K-major patches
     times one GEMM, but over blocks of images sized for that GEMM's O rows
     (`_block_images`): each block's W(O, K) @ cols(K, n*OH*OW) fills its
-    columns of one (O, N*OH*OW) product, returned as an NCHW view. Every
-    network layer has OH*OW a multiple of 16, so block boundaries leave each
-    output element's sum order as it is. No patch matrix outlives the call.
+    columns of one (O, N*OH*OW) product, returned as an NCHW view. The
+    patches come from flat image planes with rows R = max(W, OW) apart
+    (`_patch_blocks`): each tap's output image is one run of OH*OW elements
+    when R = OW, as in every network layer, and rows of OW when a pad
+    narrower than (kw-1)/2 makes R > OW; reads that wrap past a row's end
+    are zeroed. Every network layer has OH*OW a multiple of 16, so block
+    boundaries leave each output element's sum order as it is. No patch
+    matrix outlives the call.
 
     The backward is built from differentiable ops, so derivatives of every
     order close over `conv2d`, `conv2d_weight`, `flip2d` and `permute`. The

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import zlib
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("mode", jpeg.MODES)
     @pytest.mark.parametrize("qf", [10, 50, 95])
     def test_exact_coefficients(self, mode, qf):
-        rng = np.random.default_rng(hash((mode, qf)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((mode, qf)).encode()))
         enc = random_encoded(rng, qf=qf, mode=mode)
         assert_same(jfif.decode_jfif(jfif.encode_jfif(enc)), enc)
 
@@ -127,6 +128,13 @@ class TestRoundTrip:
         for qf in (1, 7, 25, 49, 50, 51, 80, 100):
             enc = random_encoded(rng, qf=qf, h=16, w=16, dc=5, ac=1)
             assert jfif.decode_jfif(jfif.encode_jfif(enc)).quality_factor == qf
+
+    def test_quality_lookup_is_keyed_on_values(self):
+        assert sorted(jfif._QUALITY_BY_LUMA.values()) == list(range(1, 101))  # 100 distinct tables
+        for qf in (1, 50, 75, 100):
+            ql, qc = jpeg.quant_matrices(qf)
+            tables = {0: (ql.astype(np.float64), 0), 1: (qc.astype(np.int32), 0)}
+            assert jfif._recover_quality(tables) == qf
 
 
 def sparse_encoded():
@@ -217,28 +225,56 @@ class TestErrors:
 
     def test_trailing_garbage(self):
         data = jfif.encode_jfif(random_encoded(np.random.default_rng(7)))
-        with pytest.raises(ValueError, match="trailing"):
+        with pytest.raises(ValueError, match=f"offset {len(data)}: trailing"):
             jfif.decode_jfif(data + b"\x00")
 
-    def test_corrupt_quant_table(self):
+    @staticmethod
+    def corrupt_table(table):
+        """A file whose DQT table `table` (0 luma, 1 chroma) has a zero entry,
+        and the offset of that table's Pq/Tq byte."""
         data = bytearray(jfif.encode_jfif(random_encoded(np.random.default_rng(8))))
-        dqt = data.index(b"\xff\xdb")
+        dqt = -1
+        for _ in range(table + 1):  # one DQT segment per table: luma, then chroma
+            dqt = data.index(b"\xff\xdb", dqt + 1)
         data[dqt + 5] = 0  # a zero entry matches no quality factor
-        with pytest.raises(ValueError, match="quality"):
+        return bytes(data), dqt + 4  # after the marker and the length
+
+    def test_corrupt_quant_table(self):
+        data, at = self.corrupt_table(0)
+        with pytest.raises(ValueError, match=f"offset {at}: luma quantization table matches no quality"):
+            jfif.decode_jfif(data)
+
+    def test_corrupt_chroma_quant_table(self):
+        data, at = self.corrupt_table(1)
+        match = f"offset {at}: chroma quantization table does not match quality factor 50"
+        with pytest.raises(ValueError, match=match):
+            jfif.decode_jfif(data)
+
+    def test_out_of_range_amplitudes_name_the_scan(self):
+        # a DC level in range at qf 95 but not under qf 50's coarser tables
+        enc = random_encoded(np.random.default_rng(19), qf=95)
+        enc.y[0, 0, 0, 0] = 300
+        data = bytearray(jfif.encode_jfif(enc))
+        coarse = jfif.encode_jfif(random_encoded(np.random.default_rng(19), qf=50))
+        dqt = data.index(b"\xff\xdb")
+        assert dqt == coarse.index(b"\xff\xdb")
+        data[dqt : dqt + 2 * 69] = coarse[dqt : dqt + 2 * 69]  # both 8-bit DQT segments
+        scan = data.index(b"\xff\xda") + 14  # SOS marker and its 12-byte segment
+        with pytest.raises(ValueError, match=f"offset {scan}: y plane has out-of-range amplitudes"):
             jfif.decode_jfif(bytes(data))
 
     def test_missing_tables(self):
         data = jfif.encode_jfif(random_encoded(np.random.default_rng(9)))
         dht = data.index(b"\xff\xc4")
         stripped = data[:dht] + data[dht + 2 :]  # break the first DHT marker
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="offset"):
             jfif.decode_jfif(stripped)
 
     def test_extent_larger_than_scan_data(self):
         data = bytearray(jfif.encode_jfif(random_encoded(np.random.default_rng(11))))
         sof = data.index(b"\xff\xc0")
         data[sof + 5] = data[sof + 7] = 0xFF  # height and width high bytes
-        with pytest.raises(ValueError, match="scan too short"):
+        with pytest.raises(ValueError, match="offset \\d+: scan too short"):
             jfif.decode_jfif(bytes(data))
 
     @pytest.mark.parametrize(

@@ -31,6 +31,24 @@ def _conv_ref(x, w, stride, pad):
     return out
 
 
+def _patch_blocks_ref(x, kh, kw, ph, pw, O):
+    """The patch-matrix oracle: zero-pad each block of images, view it as
+    (C, kh, kw, n, OH, OW) windows over the padded rows and copy that.
+    Blocks are split as the lowering splits them (`_block_images`)."""
+    N, C, H, W = x.shape
+    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    K, L = C * kh * kw, OH * OW
+    nb = T._block_images(N, K, L, O, x.itemsize)
+    for s in range(0, N, nb):
+        e = min(s + nb, N)
+        padded = np.pad(x[s:e], ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        sN, sC, sH, sW = padded.strides
+        win = np.lib.stride_tricks.as_strided(
+            padded, shape=(C, kh, kw, e - s, OH, OW), strides=(sC, sH, sW, sN, sH, sW), writeable=False
+        )
+        yield s, e, win.reshape(K, (e - s) * L)
+
+
 def fd_grad(f, x, eps=1e-6):
     """Central-difference gradient of scalar f at numpy array x."""
     g = np.zeros_like(x)
@@ -509,6 +527,64 @@ class TestBlockedLowering:
         x = Tensor(np.zeros((2, 2, 5, 5)))
         with pytest.raises(T.ShapeError, match="conv2d_weight"):
             T.conv2d_weight(x, Tensor(np.zeros((2, 3, 5, 5))), 3, 3, 0)
+
+
+class TestPatchMatrices:
+    """`_patch_blocks` equals the padded-window oracle bit for bit, block by
+    block: every kernel and pad of the conv tests, with the input-gradient
+    pad beside each, on the layouts convolutions see."""
+
+    # TestConv2dBackward.CASES and TestAdjointPairs' kernels, as (kh, kw, ph, pw),
+    # each beside its input gradient's (kh, kw, kh - 1 - ph, kw - 1 - pw)
+    KERNELS = [(3, 3, 0, 0), (3, 3, 1, 1), (1, 1, 0, 0), (2, 3, 1, 1), (3, 2, 1, 0)]
+    CASES = sorted({
+        case for kh, kw, ph, pw in KERNELS for case in [(kh, kw, ph, pw), (kh, kw, kh - 1 - ph, kw - 1 - pw)]
+    })
+
+    @staticmethod
+    def layouts(rng, dtype):
+        x = rng.normal(size=(5, 3, 4, 6)).astype(dtype)
+        return {
+            "contiguous": x,
+            # a conv output: (C, N, H, W) memory seen as NCHW
+            "channel-major": np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+            "stride-0": T.expand(Tensor(x[:1, :, :1]), x.shape).data,
+            "negative-stride": T.flip2d(Tensor(x)).data,
+        }
+
+    @staticmethod
+    def assert_blocks_match(x, kh, kw, ph, pw, O):
+        blocks = [(s, e, cols.copy()) for s, e, cols in T._patch_blocks(x, kh, kw, ph, pw, O)]
+        oracle = list(_patch_blocks_ref(x, kh, kw, ph, pw, O))
+        assert [b[:2] for b in blocks] == [b[:2] for b in oracle]
+        for (s, _, cols), (_, _, ref) in zip(blocks, oracle):
+            assert cols.dtype == ref.dtype, (cols.dtype, ref.dtype)
+            assert np.array_equal(cols, ref), (x.shape, x.strides, kh, kw, ph, pw, s)
+        return [s for s, _, _ in blocks]
+
+    @pytest.mark.parametrize("kh, kw, ph, pw", CASES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layouts_and_block_splits(self, kh, kw, ph, pw, dtype, monkeypatch):
+        O = 3
+        for name, x in self.layouts(np.random.default_rng(70 + kh * 10 + kw), dtype).items():
+            N, C, H, W = x.shape
+            kl = C * kh * kw * (H + 2 * ph - kh + 1) * (W + 2 * pw - kw + 1) * x.itemsize
+            # one block; blocks of 2, 2 and 1 images (the O = 3 budget is 6/19 of
+            # the L2 constant); one image per block
+            for l2_bytes, starts in [(1 << 40, [0]), (19 * 2 * kl // 6 + 1, [0, 2, 4]), (1, [0, 1, 2, 3, 4])]:
+                monkeypatch.setattr(T, "_L2_BYTES", l2_bytes)
+                assert self.assert_blocks_match(x, kh, kw, ph, pw, O) == starts, name
+
+    @pytest.mark.parametrize("width, critic_width, path_channels, dtype", [
+        (4, 8, 2, np.float32),  # the pinned protocol
+        (128, 128, 4, np.float64),  # the command-line defaults
+    ], ids=["pinned-f32", "default-f64"])
+    def test_every_network_convolution(self, monkeypatch, width, critic_width, path_channels, dtype):
+        calls = TestNetworkConvBlocks.conv_calls(monkeypatch, width, critic_width, path_channels, dtype, 3)
+        assert len(calls) > 20
+        for x, w, p in calls:  # forward and critic input-gradient convolutions
+            ph, pw = p if isinstance(p, tuple) else (p, p)
+            self.assert_blocks_match(x, *w.shape[2:], ph, pw, w.shape[0])
 
 
 class TestConv2dWeight:
