@@ -266,12 +266,14 @@ def _parse_dqt(payload: bytes, tables: dict, offset: int) -> None:
         pos += 64 * width
 
 
-def _table_key(table: np.ndarray) -> tuple:
-    return tuple(table.ravel().tolist())  # by value: 16 and 16.0 are one key
+def _table_key(table: np.ndarray) -> bytes:
+    return np.asarray(table, dtype=np.int64).tobytes()  # by value, whatever the dtype
 
 
 # every quality factor has its own luma table, so that table alone names q
-_QUALITY_BY_LUMA = {_table_key(jpeg.quant_matrices(q)[0]): q for q in range(1, 101)}
+_QUALITY_BY_LUMA = {
+    _table_key(jpeg.scale_quant_matrix(jpeg.LUMA_QUANT_BASE, q)): q for q in range(1, 101)
+}
 
 
 def _recover_quality(qtables: dict) -> int:

@@ -3,12 +3,14 @@
     python3 tools/bench_ab.py --parent HEAD~1 --change HEAD --tag pr11
 
 Both revisions are extracted with `git archive` into a temporary directory,
-so the comparison sees committed files only. For each of `--pairs` seeds the
-script runs `perfbench/run.py --trace 0` once per side on every workload,
-alternating which side goes first from seed to seed. It then runs one
-`--trace 1` run per side on `train-pinned` for the phase and per-op-kind
-split. The output holds, per workload and end-to-end metric, each pair's
-values, each side's median and quartiles, and the pairs the change won.
+so the comparison sees committed files only. The workloads, the run length
+and the end-to-end metrics come from the change's BENCHMARK.json. For each
+of `--pairs` seeds the script runs the benchmark command with `--trace 0`
+once per side on every workload, alternating which side goes first from
+seed to seed. It then runs one `--trace 1` run per side on `train-pinned`
+for the phase and per-op-kind split. The output holds, per workload and
+end-to-end metric, each pair's values, each side's median and quartiles,
+and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -24,18 +26,9 @@ import sys
 import tarfile
 import tempfile
 
-WORKLOADS = ("train-pinned", "sample-wide", "codec-sweep")
-# end-to-end metric -> the direction that is better, as BENCHMARK.json states it
-END_TO_END = {"setup_s": "lower", "op_ms.p50": "lower", "op_ms.tail": "lower",
-              "items_per_s": "higher", "peak_rss_mb": "lower"}
 PHASES = ("training.critic_phase.ms", "training.generator_phase.ms",
           "training.gradient_penalty.ms", "tensor.grad.ms", "tensor.grad_create_graph.ms")
 TRACED_WORKLOAD = "train-pinned"
-
-
-def quartiles(values: list[float]) -> tuple[float, float]:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -52,7 +45,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     out = {"better": better, "pairs": [[p, c] for p, c in zip(parent, change)],
            "won": won, "lost": lost, "tied": len(parent) - won - lost}
     for side, values in (("parent", parent), ("change", change)):
-        q1, q3 = quartiles(values) if len(values) > 1 else (values[0], values[0])
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
         out[side] = {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
     out["median_change"] = out["change"]["median"] - out["parent"]["median"]
     return out
@@ -68,10 +61,10 @@ def extract(rev: str, dest: str) -> str:
     return commit
 
 
-def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `tree`; its result is the last line of standard output."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_bench(bench: dict, tree: str, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run in `tree`; its result is the last line of standard output."""
+    cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
+                              "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -81,13 +74,14 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def compare(trees: dict, seeds: list[int], workloads, seconds: float) -> dict:
+def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
+    workloads = [w["name"] for w in bench["workloads"]]
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             for side in order:
-                r = run_bench(trees[side], w, seed, seconds, 0)
+                r = run_bench(bench, trees[side], w, seed, 0)
                 runs[w][side].append(r)
                 print(f"# seed {seed} {w} {side}: op_ms.p50 {r['metrics']['op_ms.p50']:.1f} ms", flush=True)
     out = {}
@@ -98,19 +92,19 @@ def compare(trees: dict, seeds: list[int], workloads, seconds: float) -> dict:
             "attempted": {s: [r["attempted"] for r in sides[s]] for s in sides},
             "correct": {s: all(r["correct"] for r in sides[s]) for s in sides},
             "metrics": {
-                name: summarize([r["metrics"][name] for r in sides["parent"]],
-                                [r["metrics"][name] for r in sides["change"]], better)
-                for name, better in END_TO_END.items()
+                m["name"]: summarize([r["metrics"][m["name"]] for r in sides["parent"]],
+                                     [r["metrics"][m["name"]] for r in sides["change"]], m["better"])
+                for m in bench["end_to_end"]
             },
         }
     return out
 
 
-def traced(trees: dict, seed: int, seconds: float) -> dict:
+def traced(bench: dict, trees: dict, seed: int) -> dict:
     """Phase split and per-op-kind tensor figures of one traced run per side."""
     out = {"workload": TRACED_WORKLOAD, "seed": seed}
     for side in ("parent", "change"):
-        m = run_bench(trees[side], TRACED_WORKLOAD, seed, seconds, 1)["metrics"]
+        m = run_bench(bench, trees[side], TRACED_WORKLOAD, seed, 1)["metrics"]
         out[side] = {"phases": {name: m[name] for name in PHASES},
                      "tensor": {name: v for name, v in m.items() if name.startswith("tensor.")}}
     return out
@@ -123,29 +117,27 @@ def main(argv=None) -> int:
     p.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     p.add_argument("--pairs", type=int, default=10, help="seeds, each run once per side")
     p.add_argument("--first-seed", type=int, default=1101)
-    p.add_argument("--seconds", type=float, default=30.0, help="run length of each perfbench run")
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
     args = p.parse_args(argv)
-    workloads = args.workloads.split(",")
-    if args.pairs < 1 or not set(workloads) <= set(WORKLOADS):
-        p.error(f"--pairs must be >= 1 and --workloads a subset of {','.join(WORKLOADS)}")
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
         commits = {side: extract(rev, trees[side]) for side, rev in
                    (("parent", args.parent), ("change", args.change))}
+        with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
+            bench = json.load(fh)
         report = {
             "tag": args.tag,
             "command": "python3 tools/bench_ab.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "commits": commits,
             "seeds": seeds,
-            "seconds": args.seconds,
+            "run_seconds": bench["run_seconds"],
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "nproc": len(os.sched_getaffinity(0))},
-            "workloads": compare(trees, seeds, workloads, args.seconds),
+            "workloads": compare(bench, trees, seeds),
+            "traced": traced(bench, trees, seeds[0]),
         }
-        if TRACED_WORKLOAD in workloads:
-            report["traced"] = traced(trees, seeds[0], args.seconds)
     path = f"BENCH_{args.tag}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)
