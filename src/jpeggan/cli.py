@@ -188,6 +188,14 @@ def _training_data(source, cfg, dtype) -> np.ndarray:
     return data
 
 
+def _check_resume(args, gen, disc, anchor=None) -> None:
+    if args.resume is not None:
+        try:
+            training.check_resume(args.resume, gen, disc, anchor)
+        except (OSError, ValueError) as e:
+            raise DataError(f"resume checkpoint: {e}") from None
+
+
 def _out_dir(args) -> str:
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -217,6 +225,7 @@ def cmd_pretrain(args) -> int:
     dtype = _dtype(cfg)
     gen, disc = _build_networks(cfg, dtype)
     data = _training_data(args.data, cfg, dtype)
+    _check_resume(args, gen, disc)
     out = _out_dir(args)
     _write_manifest(out, "pretrain", cfg)
     training.pretrain_baseline(
@@ -246,6 +255,7 @@ def cmd_train(args) -> int:
         except (OSError, ValueError) as e:
             raise DataError(f"pretrained checkpoint: {e}") from None
     anchor = networks.extract_anchor(gen)
+    _check_resume(args, gen, disc, anchor)
 
     out = _out_dir(args)
     _write_manifest(out, "train", cfg)
@@ -353,16 +363,15 @@ def cmd_decode(args) -> int:
 def cmd_fid(args) -> int:
     cfg = resolve_config(args)
     dtype = _dtype(cfg)
-    feats = []
+    moments = []
     for source in (args.set_a, args.set_b):
         images = _load_data(source, cfg, dtype)
-        try:
-            feats.append(fid.pixel_features(images))
+        try:  # a covariance needs two or more images
+            stats = fid.FidStats.from_features(fid.pixel_features(images))
+            moments += [stats.mean, stats.covariance]
         except ValueError as e:
             raise DataError(f"dataset {source}: {e}") from None
-    value = fid.frechet_distance(
-        fid.FidStats.from_features(feats[0]), fid.FidStats.from_features(feats[1])
-    )
+    value = fid.frechet_from_moments(*moments)
     out = _out_dir(args)
     _write_manifest(out, "fid", cfg, {"set_a": args.set_a, "set_b": args.set_b})
     with open(os.path.join(out, "fid.csv"), "w") as fh:

@@ -8,16 +8,18 @@ value bits, pads them with 1-bits to a whole byte and stuffs every 0xFF once
 (T.81 B.1.1.5, F.1.2); the reader finds the scan's end, unstuffs it once and
 reads codes and values by slicing.
 
-The reader handles exactly the subset the writer emits. It rejects frame and
-scan headers whose sampling factors, table selectors or spectral selection
-differ from the writer's (T.81 B.2.2, B.2.3), and reports byte offsets on
-malformed input; it is not a general-purpose decoder.
+The header, SOI through SOS, is one function of the quality factor, the
+extents and the chroma mode, `_header`, and both sides use it. The reader
+reads only files this writer emits: it finds q from the luma quantization
+table, the extents and the mode in SOF0, rebuilds the header and compares
+it byte for byte, naming the first differing byte's offset. Files with other
+segments, another segment order or other tables are rejected; the reader is
+not a general-purpose decoder.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import struct
 
 import numpy as np
@@ -95,18 +97,12 @@ _EOB, _ZRL = 0x00, 0xF0
 _HUFFMAN = {(0, 0): DC_LUMA, (0, 1): DC_CHROMA, (1, 0): AC_LUMA, (1, 1): AC_CHROMA}
 
 # (component id, plane, quantization table, DC and AC Huffman table) per
-# component. The writer emits SOF0 and SOS from this table and the reader
-# accepts no other.
+# component, in the order SOF0 and SOS list them
 _COMPONENTS = ((1, "y", 0, 0), (2, "cb", 1, 1), (3, "cr", 1, 1))
 
 # mode -> (horizontal, vertical) sampling factors of each component; luma's
 # are the largest, so they give the MCU's extent in blocks
 _SAMPLING = {mode: (jpeg.mode_factors(mode)[::-1], (1, 1), (1, 1)) for mode in jpeg.MODES}
-
-# Ns, then (Cs, Td << 4 | Ta) per component, then Ss = 0, Se = 63, Ah = Al = 0
-_SOS = bytes(
-    [len(_COMPONENTS), *(b for cid, _, _, t in _COMPONENTS for b in (cid, t << 4 | t)), 0, 63, 0]
-)
 
 _ZZ = jpeg.ZIGZAG_INDEX.tolist()
 
@@ -124,19 +120,72 @@ def _canonical_codes(table):
     return codes
 
 
-def _code_strings(table):
-    """value -> code as a bit string; codes an overfull table cannot fit are dropped."""
-    return {v: format(c, f"0{n}b") for v, (c, n) in _canonical_codes(table).items() if c >> n == 0}
+# value -> code bit string for the writer, and the inverse for the reader
+_CODES = {
+    key: {v: format(c, f"0{n}b") for v, (c, n) in _canonical_codes(table).items()}
+    for key, table in _HUFFMAN.items()
+}
+_VALUES = {key: {s: v for v, s in codes.items()} for key, codes in _CODES.items()}
 
 
-_CODES = {key: _code_strings(table) for key, table in _HUFFMAN.items()}
+def _segment(marker: int, payload: bytes) -> bytes:
+    return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
 
 
-@functools.lru_cache(maxsize=8)
-def _decode_map(table: tuple[bytes, bytes]) -> dict:
-    """code bit string -> value for a file's DHT table. Files repeat the
-    standard tables, so each map is built once; callers only read it."""
-    return {s: v for v, s in _code_strings(table).items()}
+def _dqt_payload(tq: int, table: np.ndarray) -> bytes:
+    zz = jpeg.zigzag(table.astype(np.int64))
+    if table.max() > 255:
+        return bytes([0x10 | tq]) + b"".join(struct.pack(">H", int(v)) for v in zz)
+    return bytes([tq]) + bytes(int(v) for v in zz)
+
+
+def _sof_payload(height: int, width: int, mode: str) -> bytes:
+    out = struct.pack(">BHHB", 8, height, width, len(_COMPONENTS))
+    for (cid, _, tq, _), (h, v) in zip(_COMPONENTS, _SAMPLING[mode]):
+        out += bytes([cid, h << 4 | v, tq])
+    return out
+
+
+_START = (
+    ("SOI", b"\xff\xd8"),
+    ("APP0", _segment(0xE0, b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + b"\x00\x00")),
+)
+
+# q -> its luma and chroma DQT segments. Built from scale_quant_matrix so
+# that importing the module leaves the quant_matrices cache empty.
+_DQT = {
+    q: tuple(
+        _segment(0xDB, _dqt_payload(tq, jpeg.scale_quant_matrix(base, q)))
+        for tq, base in enumerate((jpeg.LUMA_QUANT_BASE, jpeg.CHROMA_QUANT_BASE))
+    )
+    for q in range(1, 101)
+}
+
+# every quality factor has its own luma table, so that table alone names q
+_QUALITY_BY_LUMA = {luma[4:]: q for q, (luma, _) in _DQT.items()}
+
+# Ns, then (Cs, Td << 4 | Ta) per component, then Ss = 0, Se = 63, Ah = Al = 0
+_SOS = bytes(
+    [len(_COMPONENTS), *(b for cid, _, _, t in _COMPONENTS for b in (cid, t << 4 | t)), 0, 63, 0]
+)
+
+_END = (
+    *(
+        ("DHT", _segment(0xC4, bytes([tc << 4 | th, *counts, *symbols])))
+        for (tc, th), (counts, symbols) in _HUFFMAN.items()
+    ),
+    ("SOS", _segment(0xDA, _SOS)),
+)
+
+
+def _header(q: int, height: int, width: int, mode: str) -> list[tuple[str, bytes]]:
+    """The named segments from SOI through SOS of every file with these settings."""
+    return [
+        *_START,
+        *(("DQT", seg) for seg in _DQT[q]),
+        ("SOF0", _segment(0xC0, _sof_payload(height, width, mode))),
+        *_END,
+    ]
 
 
 def _mcu_grid(height: int, width: int, mode: str) -> tuple[int, int]:
@@ -204,111 +253,29 @@ def _scan_bytes(enc: EncodedImage) -> bytes:
     return int(s or "0", 2).to_bytes(len(s) // 8, "big").replace(b"\xff", b"\xff\x00")
 
 
-def _segment(marker: int, payload: bytes) -> bytes:
-    return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
-
-
-def _dqt_payload(tq: int, table: np.ndarray) -> bytes:
-    zz = jpeg.zigzag(table.astype(np.int64))
-    if table.max() > 255:
-        return bytes([0x10 | tq]) + b"".join(struct.pack(">H", int(v)) for v in zz)
-    return bytes([tq]) + bytes(int(v) for v in zz)
-
-
-def _dht_payload(table_class: int, table_id: int, table) -> bytes:
-    counts, symbols = table
-    return bytes([table_class << 4 | table_id]) + bytes(counts) + bytes(symbols)
-
-
-def _sof_payload(height: int, width: int, mode: str) -> bytes:
-    out = struct.pack(">BHHB", 8, height, width, len(_COMPONENTS))
-    for (cid, _, tq, _), (h, v) in zip(_COMPONENTS, _SAMPLING[mode]):
-        out += bytes([cid, h << 4 | v, tq])
-    return out
-
-
 def encode_jfif(enc: EncodedImage) -> bytes:
     enc.validate()
-    ql, qc = jpeg.quant_matrices(enc.quality_factor)
-    out = bytearray(b"\xff\xd8")
-    out += _segment(0xE0, b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + b"\x00\x00")
-    out += _segment(0xDB, _dqt_payload(0, ql))
-    out += _segment(0xDB, _dqt_payload(1, qc))
-    out += _segment(0xC0, _sof_payload(enc.height, enc.width, enc.mode))
-    for (table_class, table_id), table in _HUFFMAN.items():
-        out += _segment(0xC4, _dht_payload(table_class, table_id, table))
-    out += _segment(0xDA, _SOS)
-    out += _scan_bytes(enc)
-    out += b"\xff\xd9"
-    return bytes(out)
+    if enc.quality_factor not in _DQT:
+        raise ValueError(f"quality factor {enc.quality_factor} is not an integer in 1..100")
+    header = _header(enc.quality_factor, enc.height, enc.width, enc.mode)
+    return b"".join(seg for _, seg in header) + _scan_bytes(enc) + b"\xff\xd9"
 
 
-def _parse_dqt(payload: bytes, tables: dict, offset: int) -> None:
-    """Add each table of a DQT segment to `tables` as tq: (table, offset of
-    its Pq/Tq byte)."""
+def _compare(data: bytes, segments) -> int:
+    """Raise at the first byte where `data` differs from `segments` laid end
+    to end from its start; return the offset just past them."""
     pos = 0
-    while pos < len(payload):
-        pq, tq = payload[pos] >> 4, payload[pos] & 0x0F
-        at = offset + pos
-        pos += 1
-        if pq not in (0, 1) or tq > 3:
-            raise ValueError(f"offset {offset + pos}: bad DQT header byte")
-        width = 2 if pq else 1
-        if pos + 64 * width > len(payload):
-            raise ValueError(f"offset {offset + pos}: truncated DQT table")
-        if pq:
-            vec = np.array(
-                struct.unpack(f">{64}H", payload[pos : pos + 128]), dtype=np.int64
-            )
-        else:
-            vec = np.frombuffer(payload[pos : pos + 64], dtype=np.uint8).astype(np.int64)
-        tables[tq] = jpeg.inverse_zigzag(vec), at
-        pos += 64 * width
+    for name, seg in segments:
+        got = data[pos : pos + len(seg)]
+        if got != seg:
+            at = next((i for i, (a, b) in enumerate(zip(got, seg)) if a != b), len(got))
+            what = "the file ends inside" if at == len(got) else f"{name} differs from"
+            raise ValueError(f"offset {pos + at}: {what} the header jpeggan writes")
+        pos += len(seg)
+    return pos
 
 
-def _table_key(table: np.ndarray) -> bytes:
-    return np.asarray(table, dtype=np.int64).tobytes()  # by value, whatever the dtype
-
-
-# every quality factor has its own luma table, so that table alone names q
-_QUALITY_BY_LUMA = {
-    _table_key(jpeg.scale_quant_matrix(jpeg.LUMA_QUANT_BASE, q)): q for q in range(1, 101)
-}
-
-
-def _recover_quality(qtables: dict) -> int:
-    (ql, at_l), (qc, at_c) = qtables[0], qtables[1]
-    q = _QUALITY_BY_LUMA.get(_table_key(ql))
-    if q is None:
-        raise ValueError(f"offset {at_l}: luma quantization table matches no quality factor in 1..100")
-    if not np.array_equal(qc, jpeg.quant_matrices(q)[1]):
-        raise ValueError(f"offset {at_c}: chroma quantization table does not match quality factor {q}")
-    return q
-
-
-def _check_header(payload: bytes, expected: bytes, offset: int, name: str) -> None:
-    """Raise at the first byte where a header differs from the writer's."""
-    if payload != expected:
-        same = [a == b for a, b in zip(payload, expected)]
-        at = same.index(False) if False in same else len(same)
-        raise ValueError(f"offset {offset + at}: {name} differs from the 3-component baseline header")
-
-
-def _parse_sof(payload: bytes, offset: int) -> tuple[int, int, str]:
-    """(height, width, mode) of a frame header the writer could have emitted."""
-    if len(payload) < 15:  # header plus three 3-byte component specs
-        raise ValueError(f"offset {offset}: truncated SOF0 segment")
-    _, height, width = struct.unpack(">BHH", payload[:5])
-    luma = payload[7]  # an unknown sampling byte is reported against the 4:4:4 header
-    mode = next((m for m, ((h, v), *_) in _SAMPLING.items() if luma == h << 4 | v), "4:4:4")
-    _check_header(payload, _sof_payload(height, width, mode), offset, "SOF0")
-    h, v = _SAMPLING[mode][0]
-    if height % (8 * v) or width % (8 * h):
-        raise ValueError(f"offset {offset + 1}: extent {width}x{height} is not MCU-aligned")
-    return height, width, mode
-
-
-def _decode_scan(data: bytes, start: int, planes: list, order, codes: dict) -> int:
+def _decode_scan(data: bytes, start: int, planes: list, order) -> int:
     """Decode the scan that begins at `start` into `planes` (row-major blocks
     of 64, in component order) along `order`; return the offset just past the
     scan's last byte, padding included."""
@@ -344,14 +311,13 @@ def _decode_scan(data: bytes, start: int, planes: list, order, codes: dict) -> i
         raw = int(bits[at : at + size], 2)
         return (raw if raw >> (size - 1) else raw - (1 << size) + 1), at + size
 
+    # the standard tables hold DC categories 0..11, and AC symbols with sizes
+    # 1..10 besides EOB and ZRL (T.81 F.1.2), so no symbol needs a range check
     pred, pos = [0] * len(_COMPONENTS), 0
     for c, r, col in order:
         t = _COMPONENTS[c][3]
         block = [0] * 64
-        at = pos
-        size, pos = code(pos, codes[0, t])
-        if size > 11:  # baseline DC categories are 0..11 (T.81, F.1.2.1)
-            raise bad(at, f"DC category {size} exceeds 11")
+        size, pos = code(pos, _VALUES[0, t])
         if size:
             diff, pos = value(pos, size)
             pred[c] += diff
@@ -359,88 +325,45 @@ def _decode_scan(data: bytes, start: int, planes: list, order, codes: dict) -> i
         k = 1
         while k < 64:
             at = pos
-            sym, pos = code(pos, codes[1, t])
+            sym, pos = code(pos, _VALUES[1, t])
             if sym == _EOB:
                 break
-            run, size = sym >> 4, sym & 0x0F
-            if size == 0:
-                if run != 15:
-                    raise bad(at, f"bad zero-size AC symbol {sym:#x}")
+            if sym == _ZRL:
                 k += 16
                 continue
-            if size > 10:  # baseline AC sizes are 1..10 (T.81, F.1.2.2)
-                raise bad(at, f"AC size {size} exceeds 10")
-            k += run
+            k += sym >> 4
             if k > 63:
                 raise bad(at, "AC run overflows the block")
-            block[_ZZ[k]], pos = value(pos, size)
+            block[_ZZ[k]], pos = value(pos, sym & 0x0F)
             k += 1
         planes[c][r, col] = block
     return offset(-(-pos // 8))
 
 
 def decode_jfif(data: bytes) -> EncodedImage:
-    if len(data) < 4 or data[0:2] != b"\xff\xd8":
-        raise ValueError("offset 0: missing SOI marker")
-    pos = 2
-    qtables: dict[int, tuple[np.ndarray, int]] = {}
-    htables: dict[tuple[int, int], tuple[bytes, bytes]] = {}
-    sof = None
-    scan_start = None
-    while pos < len(data):
-        if data[pos] != 0xFF:
-            raise ValueError(f"offset {pos}: expected a marker, got {data[pos]:#04x}")
-        marker = data[pos + 1] if pos + 1 < len(data) else None
-        if marker is None:
-            raise ValueError(f"offset {pos}: truncated marker")
-        pos += 2
-        if marker == 0xD9:
-            raise ValueError(f"offset {pos - 2}: EOI before any scan data")
-        if pos + 2 > len(data):
-            raise ValueError(f"offset {pos}: truncated segment length")
-        (length,) = struct.unpack(">H", data[pos : pos + 2])
-        payload = data[pos + 2 : pos + length]
-        if length < 2 or len(payload) != length - 2:
-            raise ValueError(f"offset {pos}: segment length overruns the file")
-        seg_offset = pos + 2
-        pos += length
-        if marker == 0xDB:
-            _parse_dqt(payload, qtables, seg_offset)
-        elif marker == 0xC4:
-            p = 0
-            while p < len(payload):
-                tc, th = payload[p] >> 4, payload[p] & 0x0F
-                counts = payload[p + 1 : p + 17]
-                n = sum(counts)
-                symbols = payload[p + 17 : p + 17 + n]
-                if len(counts) != 16 or len(symbols) != n:
-                    raise ValueError(f"offset {seg_offset + p}: truncated DHT table")
-                htables[(tc, th)] = (counts, symbols)
-                p += 17 + n
-        elif marker == 0xC0:
-            sof = _parse_sof(payload, seg_offset)
-        elif marker in (0xC1, 0xC2, 0xC3, 0xC5, 0xC6, 0xC7):
-            raise ValueError(f"offset {seg_offset}: unsupported SOF type {marker:#04x}")
-        elif marker == 0xDA:
-            _check_header(payload, _SOS, seg_offset, "SOS")
-            scan_start = pos
-            break
-        # APPn / COM / anything else: skipped
-    if sof is None or scan_start is None:
-        raise ValueError(f"offset {pos}: missing SOF0 or SOS segment")
-    height, width, mode = sof
-    if 0 not in qtables or 1 not in qtables:
-        raise ValueError(f"offset {scan_start}: missing quantization tables")
-    if any(k not in htables for k in _HUFFMAN):
-        raise ValueError(f"offset {scan_start}: missing Huffman tables")
-    codes = {k: _decode_map(htables[k]) for k in _HUFFMAN}
+    data = bytes(data)
+    # SOI and APP0 are the same in every file: garbage is reported at its start
+    at = _compare(data, _START) + 4  # the luma DQT's Pq/Tq byte
+    # an 8-bit or a 16-bit table
+    q = _QUALITY_BY_LUMA.get(data[at : at + 65]) or _QUALITY_BY_LUMA.get(data[at : at + 129])
+    if q is None:
+        raise ValueError(f"offset {at}: luma quantization table matches no quality factor in 1..100")
+    sof = at - 4 + sum(len(seg) for seg in _DQT[q])
+    # extents and luma sampling byte; zero-filled past a cut, which _compare reports
+    height, width, luma = struct.unpack(">HH2xB", data[sof + 5 : sof + 12].ljust(7, b"\0"))
+    # an unknown sampling byte is reported against the 4:4:4 header
+    mode = next((m for m, ((h, v), *_) in _SAMPLING.items() if luma == h << 4 | v), "4:4:4")
+    scan_start = _compare(data, _header(q, height, width, mode))
+    h, v = _SAMPLING[mode][0]
+    if height % (8 * v) or width % (8 * h):
+        raise ValueError(f"offset {sof + 5}: extent {width}x{height} is not MCU-aligned")
 
     rows, cols = _mcu_grid(height, width, mode)
     blocks = rows * cols * sum(h * v for h, v in _SAMPLING[mode])
     if 2 * blocks > 8 * (len(data) - scan_start):  # a DC code and an AC code per block
         raise ValueError(f"offset {scan_start}: scan too short for a {width}x{height} image")
     planes = [np.zeros((rows * v, cols * h, 64), dtype=np.int64) for h, v in _SAMPLING[mode]]
-    end = _decode_scan(data, scan_start, planes, _mcu_order(height, width, mode), codes)
+    end = _decode_scan(data, scan_start, planes, _mcu_order(height, width, mode))
     if data[end : end + 2] != b"\xff\xd9":
         raise ValueError(f"offset {end}: expected EOI after the scan")
     if data[end + 2 :]:
@@ -449,7 +372,7 @@ def decode_jfif(data: bytes) -> EncodedImage:
     enc = EncodedImage(
         width=width,
         height=height,
-        quality_factor=_recover_quality(qtables),
+        quality_factor=q,
         mode=mode,
         **{plane: p.reshape(*p.shape[:2], 8, 8) for (_, plane, _, _), p in zip(_COMPONENTS, planes)},
     )

@@ -44,6 +44,7 @@ __all__ = [
     "load_pretrained",
     "save_checkpoint",
     "load_checkpoint",
+    "check_resume",
 ]
 
 CSV_COLUMNS = ("step", "d_loss", "g_loss", "anchor_term", "gp_term", "mean_grad_norm")
@@ -269,20 +270,43 @@ def save_checkpoint(path, step: int, groups: dict[str, dict[str, Tensor]], optim
     networks.save_params(path, _collect_params(groups, extra))
 
 
-def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
+def _checkpoint_arrays(path, groups: dict[str, dict[str, Tensor]], optimized: dict[str, dict[str, Tensor]]):
+    """The arrays of checkpoint `path`, checked to hold the step, every
+    parameter of `groups`, and the Adam state of each optimizer in
+    `optimized` (name -> the parameters it updates), each in its shape."""
+    shapes = {"step": ()}
+    for group, params in groups.items():
+        shapes.update({f"{group}/{k}": p.data.shape for k, p in params.items()})
+    for name, params in optimized.items():
+        shapes[f"{name}/t"] = ()
+        for k, p in params.items():
+            shapes[f"{name}/m/{k}"] = shapes[f"{name}/v/{k}"] = p.data.shape
     arrays = networks.load_params(path)
+    for key, shape in shapes.items():
+        if key not in arrays:
+            raise ValueError(f"checkpoint missing {key}")
+        if arrays[key].shape != shape:
+            raise ValueError(f"{key}: shape {arrays[key].shape} != {shape}")
+    return arrays
+
+
+def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
+    """Load `groups` and `optimizers` from `path` and return its step; a
+    checkpoint that lacks any of them changes nothing."""
+    arrays = _checkpoint_arrays(path, groups, {name: opt.params for name, opt in optimizers.items()})
     for group, params in groups.items():
         for name, p in params.items():
-            key = f"{group}/{name}"
-            if key not in arrays:
-                raise ValueError(f"checkpoint missing {key}")
-            a = arrays[key]
-            if a.shape != p.data.shape:
-                raise ValueError(f"{key}: shape {a.shape} != {p.data.shape}")
-            p.data = a.astype(p.data.dtype)
+            p.data = arrays[f"{group}/{name}"].astype(p.data.dtype)
     for name, opt in optimizers.items():
         opt.load_state(arrays, name)
     return int(arrays["step"])
+
+
+def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> None:
+    """Raise OSError or ValueError unless `train` (given `anchor`) or
+    `pretrain_baseline` (without) can resume from checkpoint `path`."""
+    groups = _phase_groups(gen, disc, anchor)
+    _checkpoint_arrays(path, groups, {"adam_g": groups["gen"], "adam_d": groups["disc"]})
 
 
 def _sample_batch(data: np.ndarray, streams: RngStreams, tag: str, index: int, n: int):
@@ -297,14 +321,13 @@ def _latents(streams: RngStreams, tag: str, index: int, n: int, dim: int, dtype)
 def _run_adversarial(
     make_fake,  # (z_tensor) -> pixels Tensor on the tape
     anchor_eval,  # (z_np) -> pixels np or None
-    gen_params: dict[str, Tensor],
+    groups: dict[str, dict[str, Tensor]],  # _phase_groups: the checkpoint's parameters
     disc,
     data: np.ndarray,
     cfg: TrainConfig,
     streams: RngStreams,
     latent_dim: int,
     phase: str,
-    extra_groups: dict[str, dict[str, Tensor]],
     csv_path,
     checkpoint_path,
     resume_from,
@@ -314,11 +337,10 @@ def _run_adversarial(
         raise ValueError("dataset is empty")
     dtype = data.dtype if data.dtype in (np.float32, np.float64) else np.float64
     data = np.asarray(data, dtype=dtype)
-    disc_params = disc.params()
+    gen_params, disc_params = groups["gen"], groups["disc"]
     opt_g = Adam(gen_params, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
     opt_d = Adam(disc_params, cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
     optimizers = {"adam_g": opt_g, "adam_d": opt_d}
-    groups = {"gen": gen_params, "disc": disc_params, **extra_groups}
     start_step = 0 if resume_from is None else load_checkpoint(resume_from, groups, optimizers)
     log = _CsvLog(csv_path, resume=start_step > 0)
     reports: list[LossReport] = []
@@ -407,8 +429,8 @@ def train(
             return anchor.forward(Tensor(z)).data
 
     return _run_adversarial(
-        make_fake, anchor_eval, gen.params(), disc, data, cfg, streams, gen.spec.latent_dim,
-        phase="joint", extra_groups={"anchor": anchor.params()},
+        make_fake, anchor_eval, _phase_groups(gen, disc, anchor), disc, data, cfg, streams,
+        gen.spec.latent_dim, phase="joint",
         csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )
 
@@ -433,15 +455,19 @@ def pretrain_baseline(
         return networks.pixel_head(baseline.trunk.forward(z_t))
 
     return _run_adversarial(
-        make_fake, None, _pretrain_params(baseline), disc, data, cfg, streams,
-        baseline.spec.latent_dim, phase="pretrain", extra_groups={},
+        make_fake, None, _phase_groups(baseline, disc), disc, data, cfg, streams,
+        baseline.spec.latent_dim, phase="pretrain",
         csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )
 
 
-def _pretrain_params(gen: networks.Generator) -> dict[str, Tensor]:
-    """The generator parameters the pretrain phase trains: the trunk's, as `trunk.*`."""
-    return {f"trunk.{k}": v for k, v in gen.trunk.params().items()}
+def _phase_groups(gen: networks.Generator, disc: networks.Discriminator, anchor=None):
+    """A phase's checkpoint groups. The pretrain phase trains the trunk, as
+    `gen/trunk.*`, and the critic; the joint phase (given `anchor`) trains
+    all of `gen` and the critic and also stores the frozen anchor."""
+    if anchor is None:
+        return {"gen": {f"trunk.{k}": v for k, v in gen.trunk.params().items()}, "disc": disc.params()}
+    return {"gen": gen.params(), "disc": disc.params(), "anchor": anchor.params()}
 
 
 def load_pretrained(path, gen: networks.Generator, disc: networks.Discriminator) -> None:
@@ -450,4 +476,4 @@ def load_pretrained(path, gen: networks.Generator, disc: networks.Discriminator)
     The checkpoint holds `gen/trunk.*` (the trunk only: the coefficient
     paths keep their initial weights) and `disc/*`.
     """
-    load_checkpoint(path, {"gen": _pretrain_params(gen), "disc": disc.params()}, {})
+    load_checkpoint(path, _phase_groups(gen, disc), {})

@@ -326,24 +326,60 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: dataset {images}: ") and "(12, 12)" in err, err
 
-    @pytest.mark.parametrize("command", ["encode", "decode", "fid", "sweep", "generate"])
-    def test_rejected_input_leaves_no_out_dir(self, tmp_path, tiny_config, command):
+    @staticmethod
+    def joint_checkpoint_without(tmp_path, tiny_config, key):
+        """A joint checkpoint for the tiny config with the array `key` removed."""
+        pre, joint = tmp_path / "pre", tmp_path / "joint"
+        assert run("pretrain", "synthetic", "--config", tiny_config, "--steps", 0, "--out", pre) == 0
+        assert run("train", "synthetic", "--config", tiny_config, "--steps", 0, "--out", joint,
+                   "--pretrained", pre / "checkpoint.params") == 0
+        arrays = networks.load_params(str(joint / "checkpoint.params"))
+        del arrays[key]
+        path = tmp_path / "stripped.params"
+        networks.save_params(str(path), arrays)
+        return path
+
+    @pytest.mark.parametrize("command", [
+        "encode", "decode", "fid", "sweep", "generate", "pretrain-resume-missing",
+        "train-resume-not-a-container", "train-resume-without-adam-t", "generate-without-step",
+        "fid-one-image",
+    ])
+    def test_rejected_input_leaves_no_out_dir(self, tmp_path, tiny_config, capsys, command):
         small = tmp_path / "small"
         small.mkdir()
         rng = np.random.default_rng(2)
         for i in range(3):
             datasets.write_ppm(str(small / f"{i}.ppm"), rng.uniform(0, 255, (12, 12, 3)))
         missing = tmp_path / "missing"
+        one_record = tmp_path / "one.bin"
+        one_record.write_bytes(bytes(1 + 3 * 32 * 32))
+
+        def stripped(key):
+            return self.joint_checkpoint_without(tmp_path, tiny_config, key)
+
         argv = {
-            "encode": ["encode", missing.with_suffix(".ppm")],
-            "decode": ["decode", missing.with_suffix(".jpg")],
-            "fid": ["fid", small, small],
-            "sweep": ["sweep", small],
-            "generate": ["generate", "--checkpoint", missing.with_suffix(".params")],
-        }[command]
+            "encode": lambda: ["encode", missing.with_suffix(".ppm")],
+            "decode": lambda: ["decode", missing.with_suffix(".jpg")],
+            "fid": lambda: ["fid", small, small],
+            "sweep": lambda: ["sweep", small],
+            "generate": lambda: ["generate", "--checkpoint", missing.with_suffix(".params")],
+            "pretrain-resume-missing": lambda: [
+                "pretrain", "synthetic", "--resume", missing.with_suffix(".params")],
+            "train-resume-not-a-container": lambda: [
+                "train", "synthetic", "--resume", small / "0.ppm"],
+            "train-resume-without-adam-t": lambda: [
+                "train", "synthetic", "--resume", stripped("adam_g/t")],
+            "generate-without-step": lambda: ["generate", "--checkpoint", stripped("step")],
+            "fid-one-image": lambda: ["fid", "synthetic", one_record],
+        }[command]()
+        capsys.readouterr()
         out = tmp_path / "out"
         assert run(*argv, "--config", tiny_config, "--out", out) == cli.EXIT_DATA
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if command == "fid-one-image":
+            assert err.startswith(f"error: dataset {one_record}: "), err
 
     def test_sweep_rejects_bad_lists(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"

@@ -130,11 +130,14 @@ class TestRoundTrip:
             assert jfif.decode_jfif(jfif.encode_jfif(enc)).quality_factor == qf
 
     def test_quality_lookup_is_keyed_on_values(self):
-        assert sorted(jfif._QUALITY_BY_LUMA.values()) == list(range(1, 101))  # 100 distinct tables
-        for qf in (1, 50, 75, 100):
-            ql, qc = jpeg.quant_matrices(qf)
-            tables = {0: (ql.astype(np.float64), 0), 1: (qc.astype(np.int32), 0)}
-            assert jfif._recover_quality(tables) == qf
+        lumas = {qf: jfif._DQT[qf][0] for qf in range(1, 101)}
+        assert len(set(lumas.values())) == 100  # every quality has its own luma DQT
+        for qf, luma in lumas.items():
+            assert jfif._QUALITY_BY_LUMA[luma[4:]] == qf  # keyed from the Pq/Tq byte on
+            width = 2 if luma[4] >> 4 else 1
+            table = np.frombuffer(luma[5:], dtype=f">u{width}").astype(np.int64)
+            assert len(table) == 64
+            assert np.array_equal(jpeg.inverse_zigzag(table), jpeg.quant_matrices(qf)[0])
 
 
 def sparse_encoded():
@@ -246,7 +249,7 @@ class TestErrors:
 
     def test_corrupt_chroma_quant_table(self):
         data, at = self.corrupt_table(1)
-        match = f"offset {at}: chroma quantization table does not match quality factor 50"
+        match = f"offset {at + 1}: DQT differs"  # the zeroed first entry
         with pytest.raises(ValueError, match=match):
             jfif.decode_jfif(data)
 
@@ -278,10 +281,11 @@ class TestErrors:
             jfif.decode_jfif(bytes(data))
 
     @pytest.mark.parametrize(
-        "segment, symbol, match",
-        [(0, 200, "DC category 200"), (2, 0x0B, "AC size 11")],  # DC luma, AC luma
+        "segment, symbol",
+        [(0, 200), (2, 0x0B)],  # DC luma, AC luma
+        ids=["0-200-DC category 200", "2-11-AC size 11"],
     )
-    def test_out_of_range_huffman_symbols(self, segment, symbol, match):
+    def test_out_of_range_huffman_symbols(self, segment, symbol):
         enc = random_encoded(np.random.default_rng(10))
         enc.y[0, 0] = 0
         enc.y[0, 0, 0, :2] = 1  # first block: DC category 1, then AC symbol 0x01
@@ -291,8 +295,9 @@ class TestErrors:
             pos = data.index(b"\xff\xc4", pos + 1)
         start = pos + 21  # marker, length, class/id byte, 16 code counts
         symbols = data[start : start + sum(data[pos + 5 : start])]
-        data[start + symbols.index(1)] = symbol  # that code now decodes to `symbol`
-        with pytest.raises(ValueError, match=f"offset \\d+: {match}"):
+        edit = start + symbols.index(1)
+        data[edit] = symbol  # that code would now decode to `symbol`
+        with pytest.raises(ValueError, match=f"offset {edit}: DHT differs"):
             jfif.decode_jfif(bytes(data))
 
     def test_marker_inside_the_scan(self):
@@ -319,6 +324,27 @@ class TestErrors:
             jfif.decode_jfif(bytes(data))
 
 
+HEADER_INPUTS = {
+    "420-qf75": lambda: random_encoded(np.random.default_rng(22), qf=75, mode="4:2:0"),
+    "qf5-16bit-dqt": lambda: random_encoded(np.random.default_rng(34), qf=5, mode="4:4:4"),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_INPUTS)
+def test_every_single_bit_header_edit_is_rejected_where_it_is(name):
+    data = jfif.encode_jfif(HEADER_INPUTS[name]())
+    scan = data.index(b"\xff\xda") + 14  # SOS marker and its 12-byte segment
+    luma_dqt = range(20, data.index(b"\xff\xdb", 21))  # after SOI and APP0
+    sof = data.index(b"\xff\xc0")
+    extents = range(sof + 5, sof + 9)  # SOF0's height and width
+    for pos in range(scan):
+        for bit in range(8):
+            edited = bytearray(data)
+            edited[pos] ^= 1 << bit
+            with pytest.raises(ValueError, match="^offset \\d+: ") as info:
+                jfif.decode_jfif(bytes(edited))
+            if pos not in luma_dqt and pos not in extents:
+                assert str(info.value).startswith(f"offset {pos}: "), (pos, bit, str(info.value))
 FUZZ_INPUTS = {
     "8x8-444": jfif.encode_jfif(random_encoded(np.random.default_rng(21), mode="4:4:4", h=8, w=8)),
     # 16x16 4:2:0 whose scan holds stuffed 0xFF bytes

@@ -1,5 +1,6 @@
 """Optimizer arithmetic, penalty closed forms, loss decomposition, loops."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -393,6 +394,34 @@ class TestTrainingLoops:
         wide = networks.Generator(replace(tiny_specs()[0], base_channels=16), np.random.default_rng(2))
         with pytest.raises(ValueError, match="shape"):
             training.load_checkpoint(path, {"gen": wide.params()}, {})
+
+    @pytest.mark.parametrize("edit", ["drop step", "drop adam_g/t", "drop adam_d/v/",
+                                      "reshape adam_g/m/", "reshape adam_d/t", "reshape step"])
+    def test_checkpoint_names_the_array_it_cannot_load(self, tmp_path, edit):
+        gen, anchor, disc = build_nets(10)
+        path = tmp_path / "state.params"
+        opts = {"adam_g": training.Adam(gen.params(), 1e-4), "adam_d": training.Adam(disc.params(), 3e-4)}
+        training.save_checkpoint(path, 3, training._phase_groups(gen, disc, anchor), opts)
+        gen2, anchor2, disc2 = build_nets(99)
+        training.check_resume(path, gen2, disc2, anchor2)  # the unedited file is whole
+
+        arrays = networks.load_params(str(path))
+        action, prefix = edit.split()
+        key = next(k for k in arrays if k.startswith(prefix))
+        if action == "drop":
+            del arrays[key]
+        else:
+            arrays[key] = np.zeros((2, 3))
+        networks.save_params(str(path), arrays)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            training.check_resume(path, gen2, disc2, anchor2)
+        groups2 = training._phase_groups(gen2, disc2, anchor2)
+        before = {k: p.data for k, p in groups2["gen"].items()}
+        opts2 = {"adam_g": training.Adam(gen2.params(), 1e-4), "adam_d": training.Adam(disc2.params(), 3e-4)}
+        with pytest.raises(ValueError, match=re.escape(key)):
+            training.load_checkpoint(path, groups2, opts2)
+        assert all(p.data is before[k] for k, p in groups2["gen"].items())  # nothing was loaded
+        assert opts2["adam_g"].t == 0
 
 
 class TestPrecision:

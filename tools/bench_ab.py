@@ -7,10 +7,10 @@ so the comparison sees committed files only. The workloads, the run length
 and the end-to-end metrics come from the change's BENCHMARK.json. For each
 of `--pairs` seeds the script runs the benchmark command with `--trace 0`
 once per side on every workload, alternating which side goes first from
-seed to seed. It then runs one `--trace 1` run per side on `train-pinned`
-for the phase and per-op-kind split. The output holds, per workload and
-end-to-end metric, each pair's values, each side's median and quartiles,
-and the pairs the change won.
+seed to seed. It then runs one `--trace 1` run per side on every workload
+and records every per-layer metric it reports. The output holds, per
+workload and end-to-end metric, each pair's values, each side's median and
+quartiles, and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-
-PHASES = ("training.critic_phase.ms", "training.generator_phase.ms",
-          "training.gradient_penalty.ms", "tensor.grad.ms", "tensor.grad_create_graph.ms")
-TRACED_WORKLOAD = "train-pinned"
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
@@ -101,12 +97,11 @@ def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
 
 
 def traced(bench: dict, trees: dict, seed: int) -> dict:
-    """Phase split and per-op-kind tensor figures of one traced run per side."""
-    out = {"workload": TRACED_WORKLOAD, "seed": seed}
-    for side in ("parent", "change"):
-        m = run_bench(bench, trees[side], TRACED_WORKLOAD, seed, 1)["metrics"]
-        out[side] = {"phases": {name: m[name] for name in PHASES},
-                     "tensor": {name: v for name, v in m.items() if name.startswith("tensor.")}}
+    """Every per-layer metric of one traced run per side on each workload."""
+    out = {"seed": seed}
+    for w in bench["workloads"]:
+        out[w["name"]] = {side: run_bench(bench, trees[side], w["name"], seed, 1)["metrics"]
+                          for side in ("parent", "change")}
     return out
 
 
