@@ -341,7 +341,7 @@ def _decode_scan(data: bytes, start: int, planes: list, order) -> int:
 
 
 def decode_jfif(data: bytes) -> EncodedImage:
-    data = bytes(data)
+    data = bytes(data)  # a bytearray or memoryview too: q is looked up by slices of it
     # SOI and APP0 are the same in every file: garbage is reported at its start
     at = _compare(data, _START) + 4  # the luma DQT's Pq/Tq byte
     # an 8-bit or a 16-bit table
