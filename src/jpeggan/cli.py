@@ -112,6 +112,8 @@ def _apply_flags(args, cfg, issues):
 
 
 def _validate(cfg, issues):
+    if cfg["run"]["seed"] < 0:
+        issues.append("seed must be >= 0")
     if cfg["run"]["precision"] not in ("f32", "f64"):
         issues.append("precision must be f32 or f64")
     gen_spec, disc_spec = _specs(cfg)
@@ -383,9 +385,12 @@ def cmd_fid(args) -> int:
 
 def _parse_int_list(raw: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok]
+        values = [int(tok) for tok in raw.split(",") if tok]
     except ValueError:
         raise UsageError([f"{what}: cannot read {raw!r} as a comma-separated integer list"])
+    if not values:
+        raise UsageError([f"{what}: {raw!r} names no value"])
+    return values
 
 
 def cmd_sweep(args) -> int:

@@ -303,6 +303,8 @@ class EncodedImage:
             raise ValueError(f"bad mode {self.mode!r}")
         if not (0 < self.quality_factor <= 100):
             raise ValueError(f"bad quality factor {self.quality_factor}")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"extents {self.width}x{self.height} must be positive")
         fv, fh = mode_factors(self.mode)
         if self.width % (8 * fh) or self.height % (8 * fv):
             raise ValueError(

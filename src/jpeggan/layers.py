@@ -5,6 +5,13 @@ weight matrix shared by every tile of the feature map; the locally connected
 layer and the codec's differentiable decode both run on it), the mean-pool
 chroma reduction, and the rounding layer whose backward is the
 straight-through 1/Q scale.
+
+Every layer and network that owns trainable tensors subclasses `Module`,
+whose `params()` names each `Tensor` by its attribute path, in assignment
+order: a `Tensor` attribute `w` is `w`, a `Module` attribute `conv`
+contributes `conv.<key>`, and item i of a list attribute `block` contributes
+`block<i>.<key>`. Any other attribute is skipped. These names are the
+checkpoint format.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .tensor import Tensor
 __all__ = [
     "he_uniform",
     "block_map",
+    "Module",
     "Linear",
     "Conv2d",
     "LocallyConnected",
@@ -57,15 +65,28 @@ def block_map(x: Tensor, w: Tensor, b: Tensor | None, bh: int, bw: int) -> Tenso
     return T.reshape(out, (n, out_ch, h, wd))
 
 
-class Linear:
+class Module:
+    """A layer or network whose parameters `params()` names by the rule above."""
+
+    def params(self) -> dict[str, Tensor]:
+        out = {}
+        for name, value in vars(self).items():
+            items = enumerate(value) if isinstance(value, list) else [("", value)]
+            for i, item in items:
+                key = f"{name}{i}"
+                if isinstance(item, Tensor):
+                    out[key] = item
+                elif isinstance(item, Module):
+                    out.update({f"{key}.{k}": v for k, v in item.params().items()})
+        return out
+
+
+class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
         self.out_features = out_features
         self.w = he_uniform(rng, (in_features, out_features), in_features)
         self.b = T.zeros((out_features,), requires_grad=True)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
 
     def forward(self, x: Tensor) -> Tensor:
         n = x.shape[0]
@@ -73,21 +94,18 @@ class Linear:
         return T.add(out, T.expand(T.reshape(self.b, (1, self.out_features)), (n, self.out_features)))
 
 
-class Conv2d:
-    def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator, padding: int | None = None):
-        self.k = k
-        self.padding = (k - 1) // 2 if padding is None else padding
+class Conv2d(Module):
+    """k x k convolution, zero padded by (k - 1) // 2 on every side."""
+
+    def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator):
         self.w = he_uniform(rng, (out_ch, in_ch, k, k), in_ch * k * k)
         self.b = T.zeros((out_ch,), requires_grad=True)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
-
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, self.b, padding=self.padding)
+        return T.conv2d(x, self.w, self.b, padding=(self.w.shape[-1] - 1) // 2)
 
 
-class LocallyConnected:
+class LocallyConnected(Module):
     """Dense map applied independently to every (bh x bw) tile of the input.
 
     One weight matrix of shape (bh*bw*in_ch, bh*bw*out_ch) is shared by all
@@ -105,9 +123,6 @@ class LocallyConnected:
         fan_in = block_h * block_w * in_ch
         self.w = he_uniform(rng, (fan_in, block_h * block_w * out_ch), fan_in)
         self.b = T.zeros((block_h * block_w * out_ch,), requires_grad=True)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.in_ch:
@@ -156,7 +171,7 @@ class Quantization:
         return T.round_ste(scaled)
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     """Two 3x3 convs (ReLU between) plus a 1x1 conv skip.
 
     `resample` applies the same 2x change to both paths: "up" is
@@ -171,13 +186,6 @@ class ResidualBlock:
         self.conv1 = Conv2d(in_ch, out_ch, 3, rng)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng)
         self.skip = Conv2d(in_ch, out_ch, 1, rng)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {}
-        for name, layer in (("conv1", self.conv1), ("conv2", self.conv2), ("skip", self.skip)):
-            for k, v in layer.params().items():
-                out[f"{name}.{k}"] = v
-        return out
 
     def forward(self, x: Tensor) -> Tensor:
         h = T.upsample_repeat2d(x, 2, 2) if self.resample == "up" else x

@@ -28,7 +28,7 @@ from .jpeg import (
     mode_factors,
     quant_matrices,
 )
-from .layers import ChromaSubsample, Conv2d, Linear, LocallyConnected, Quantization, ResidualBlock
+from .layers import ChromaSubsample, Conv2d, Linear, LocallyConnected, Module, Quantization, ResidualBlock
 from .tensor import Tensor
 
 __all__ = [
@@ -119,7 +119,7 @@ def _disc_plan(resolution: int, base: int) -> tuple[int, list[int]]:
     return half, [half, half, half, base]
 
 
-class Trunk:
+class Trunk(Module):
     """latent -> FC -> 4 upsampling residual blocks -> 3-channel conv."""
 
     def __init__(self, spec: GeneratorSpec, rng: np.random.Generator):
@@ -130,30 +130,18 @@ class Trunk:
         self.width = width
         self.channel_plan = plan
         self.fc = Linear(spec.latent_dim, width * self.start * self.start, rng)
-        self.blocks = []
-        c_in = width
-        for c_out in plan:
-            self.blocks.append(ResidualBlock(c_in, c_out, rng, resample="up"))
-            c_in = c_out
+        self.block = [ResidualBlock(c_in, c_out, rng, resample="up")
+                      for c_in, c_out in zip([width] + plan, plan)]
         self.conv = Conv2d(plan[-1], 3, 3, rng)
         # Start the output head near zero so initial samples sit mid-range
         # instead of at the tanh rails, where the pixel head's gradient dies.
         self.conv.w.data *= 0.1
 
-    def params(self) -> dict[str, Tensor]:
-        out = {f"fc.{k}": v for k, v in self.fc.params().items()}
-        for i, blk in enumerate(self.blocks):
-            for k, v in blk.params().items():
-                out[f"block{i}.{k}"] = v
-        for k, v in self.conv.params().items():
-            out[f"conv.{k}"] = v
-        return out
-
     def forward(self, z: Tensor) -> Tensor:
         n = z.shape[0]
         h = self.fc.forward(z)
         h = T.reshape(h, (n, self.width, self.start, self.start))
-        for blk in self.blocks:
+        for blk in self.block:
             h = blk.forward(h)
         return self.conv.forward(h)
 
@@ -169,17 +157,12 @@ class GeneratorOutput:
     mode: str
 
 
-class _CoefficientPath:
+class _CoefficientPath(Module):
     def __init__(self, spec: GeneratorSpec, chroma: bool, q: np.ndarray, rng: np.random.Generator):
         self.loc1 = LocallyConnected(1, 1, 3, spec.path_channels, rng)
         self.subsample = ChromaSubsample(spec.mode) if chroma else None
         self.loc2 = LocallyConnected(8, 8, spec.path_channels, 1, rng)
         self.quant = Quantization(q)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {f"loc1.{k}": v for k, v in self.loc1.params().items()}
-        out.update({f"loc2.{k}": v for k, v in self.loc2.params().items()})
-        return out
 
     def forward(self, trunk_out: Tensor) -> Tensor:
         h = self.loc1.forward(trunk_out)
@@ -190,7 +173,7 @@ class _CoefficientPath:
         return self.quant.forward(amp)
 
 
-class Generator:
+class Generator(Module):
     def __init__(self, spec: GeneratorSpec, rng: np.random.Generator):
         spec.validate()
         self.spec = spec
@@ -203,16 +186,6 @@ class Generator:
     @property
     def channel_plan(self) -> list[int]:
         return self.trunk.channel_plan
-
-    def params(self) -> dict[str, Tensor]:
-        out = {f"trunk.{k}": v for k, v in self.trunk.params().items()}
-        for name, path in (
-            ("path_y", self.path_y),
-            ("path_cb", self.path_cb),
-            ("path_cr", self.path_cr),
-        ):
-            out.update({f"{name}.{k}": v for k, v in path.params().items()})
-        return out
 
     def forward(self, z: Tensor) -> GeneratorOutput:
         t = self.trunk.forward(z)
@@ -230,15 +203,12 @@ def pixel_head(trunk_out: Tensor) -> Tensor:
     return T.scalar_mul(T.add_scalar(T.tanh(trunk_out), 1.0), 127.5)
 
 
-class AnchorGenerator:
+class AnchorGenerator(Module):
     """The trunk plus a scaled-tanh head: latent -> RGB image in [0, 255]."""
 
     def __init__(self, spec: GeneratorSpec, rng: np.random.Generator):
         self.spec = spec
         self.trunk = Trunk(spec, rng)
-
-    def params(self) -> dict[str, Tensor]:
-        return {f"trunk.{k}": v for k, v in self.trunk.params().items()}
 
     def forward(self, z: Tensor) -> Tensor:
         return pixel_head(self.trunk.forward(z))
@@ -269,7 +239,7 @@ def extract_anchor(gen: Generator) -> AnchorGenerator:
     return anchor
 
 
-class Discriminator:
+class Discriminator(Module):
     """conv -> 4 downsampling residual blocks -> FC -> per-sample score.
 
     Input pixels are in [0, 255]; the first op rescales them to [-1, 1].
@@ -281,29 +251,18 @@ class Discriminator:
         width, plan = _disc_plan(spec.resolution, spec.base_channels)
         self.channel_plan = plan
         self.conv = Conv2d(3, width, 3, rng)
-        self.blocks = []
-        c_in = width
-        for c_out in plan:
-            self.blocks.append(ResidualBlock(c_in, c_out, rng, resample="down"))
-            c_in = c_out
+        self.block = [ResidualBlock(c_in, c_out, rng, resample="down")
+                      for c_in, c_out in zip([width] + plan, plan)]
         self.final_spatial = spec.resolution // 16
         self.feature_dim = plan[-1] * self.final_spatial ** 2
         self.fc = Linear(self.feature_dim, 1, rng)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {f"conv.{k}": v for k, v in self.conv.params().items()}
-        for i, blk in enumerate(self.blocks):
-            for k, v in blk.params().items():
-                out[f"block{i}.{k}"] = v
-        out.update({f"fc.{k}": v for k, v in self.fc.params().items()})
-        return out
 
     def features(self, x: Tensor) -> Tensor:
         """Flattened activations just before the final FC layer."""
         n = x.shape[0]
         h = T.add_scalar(T.scalar_mul(x, 1.0 / 127.5), -1.0)
         h = self.conv.forward(h)
-        for blk in self.blocks:
+        for blk in self.block:
             h = blk.forward(h)
         return T.reshape(h, (n, self.feature_dim))
 

@@ -150,7 +150,7 @@ class TestLocallyConnected:
             worst = max(worst, float(np.max(np.abs(got - want))))
 
             if b == 1:  # tile size 1x1 must equal a 1x1 convolution
-                conv = Conv2d(cin, cout, 1, rng, padding=0)
+                conv = Conv2d(cin, cout, 1, rng)
                 conv.w.data = layer.w.data.T.reshape(cout, cin, 1, 1).copy()
                 conv.b.data = layer.b.data.copy()
                 via_conv = conv.forward(Tensor(x)).data

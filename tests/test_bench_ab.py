@@ -35,3 +35,34 @@ class TestSummarize:
             bench_ab.summarize([1.0, 2.0], [1.0], "lower")
         with pytest.raises(ValueError):
             bench_ab.summarize([], [], "lower")
+
+
+class TestJudge:
+    def judge(self, parent, change, better="lower", bound=0.2):
+        return bench_ab.judge(bench_ab.summarize(parent, change, better), bound)
+
+    def test_ok_within_bound(self):
+        assert self.judge([10.0, 10.5, 9.5, 10.0], [11.0, 11.5, 10.5, 11.0]) == {"verdict": "ok", "gain": False}
+
+    def test_worse_beyond_bound(self):
+        assert self.judge([10.0, 10.5, 9.5, 10.0], [13.0, 13.5, 12.5, 13.0])["verdict"] == "worse"
+        # higher is better: a fall of 30 % is worse, a rise is not
+        assert self.judge([10.0, 10.5, 9.5, 10.0], [7.0, 7.5, 6.5, 7.0], "higher")["verdict"] == "worse"
+        assert self.judge([10.0, 10.5, 9.5, 10.0], [13.0, 13.5, 12.5, 13.0], "higher")["verdict"] == "ok"
+
+    def test_unresolved_when_parent_spreads_wider_than_bound(self):
+        # parent IQR 5.0 > 0.2 * median 10.0
+        assert self.judge([5.0, 10.0, 15.0, 8.0, 12.0], [30.0, 10.0, 11.0, 9.0, 10.0])["verdict"] == "unresolved"
+
+    def test_full_separation_resolves_a_wide_parent(self):
+        s = self.judge([5.0, 10.0, 15.0, 8.0, 12.0], [4.0, 3.0, 2.0, 1.0, 4.5])
+        assert s["verdict"] == "ok"
+
+    def test_gain_needs_nine_in_ten_pairs_and_a_median_beyond_the_iqr(self):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]
+        assert self.judge(parent, [p - 1.0 for p in parent])["gain"] is True
+        # eight pairs won of ten
+        assert self.judge(parent, [p - 1.0 for p in parent[:8]] + [p + 1.0 for p in parent[8:]])["gain"] is False
+        # every pair won, by less than the parent's IQR
+        assert self.judge(parent, [p - 0.05 for p in parent])["gain"] is False
+        assert self.judge(parent, [p + 1.0 for p in parent], "higher")["gain"] is True

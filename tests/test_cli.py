@@ -94,6 +94,22 @@ class TestConfigResolution:
         assert len(err) == 1 and err[0].startswith(f"error: {named}"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "env", "config"])
+    def test_negative_seed_is_one_usage_error(self, tmp_path, tiny_config, capsys, monkeypatch, where):
+        out = tmp_path / "out"
+        argv = ["pretrain", "synthetic", "--config", tiny_config, "--out", out]
+        if where == "flag":
+            argv += ["--seed", -1]
+        elif where == "env":
+            monkeypatch.setenv("JPEGGAN_SEED", "-1")
+        else:
+            cfg = tmp_path / "seeded.ini"
+            cfg.write_text(TINY_INI.replace("precision = f64", "precision = f64\nseed = -1"))
+            argv[3] = cfg
+        assert run(*argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_every_bad_train_setting_reported_once(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(TINY_INI.replace(
@@ -342,7 +358,7 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("command", [
         "encode", "decode", "fid", "sweep", "generate", "pretrain-resume-missing",
         "train-resume-not-a-container", "train-resume-without-adam-t", "generate-without-step",
-        "fid-one-image",
+        "fid-one-image", "decode-zero-extent",
     ])
     def test_rejected_input_leaves_no_out_dir(self, tmp_path, tiny_config, capsys, command):
         small = tmp_path / "small"
@@ -353,6 +369,8 @@ class TestAnalysisCommands:
         missing = tmp_path / "missing"
         one_record = tmp_path / "one.bin"
         one_record.write_bytes(bytes(1 + 3 * 32 * 32))
+        zero_extent = tmp_path / "zero.jpg"
+        zero_extent.write_bytes(b"".join(seg for _, seg in jfif._header(75, 0, 0, "4:4:4")) + b"\xff\xd9")
 
         def stripped(key):
             return self.joint_checkpoint_without(tmp_path, tiny_config, key)
@@ -371,6 +389,7 @@ class TestAnalysisCommands:
                 "train", "synthetic", "--resume", stripped("adam_g/t")],
             "generate-without-step": lambda: ["generate", "--checkpoint", stripped("step")],
             "fid-one-image": lambda: ["fid", "synthetic", one_record],
+            "decode-zero-extent": lambda: ["decode", zero_extent],
         }[command]()
         capsys.readouterr()
         out = tmp_path / "out"
@@ -380,6 +399,8 @@ class TestAnalysisCommands:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if command == "fid-one-image":
             assert err.startswith(f"error: dataset {one_record}: "), err
+        if command == "decode-zero-extent":
+            assert err.startswith(f"error: {zero_extent}: offset "), err
 
     def test_sweep_rejects_bad_lists(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"
@@ -388,3 +409,9 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert "quality factor 0" in err
         assert "luma-only" in err
+
+    def test_sweep_rejects_empty_qf_list(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "synthetic", "--config", tiny_config, "--qf", ",", "--out", out) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --qf: ',' names no value\n"
+        assert not out.exists()

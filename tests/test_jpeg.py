@@ -305,6 +305,15 @@ class TestEncodedImage:
         with pytest.raises(ValueError):
             enc.validate()
 
+    @pytest.mark.parametrize("attr", ["width", "height"])
+    def test_rejects_zero_extent(self, attr):
+        enc = self.make(mode="4:4:4")
+        setattr(enc, attr, 0)
+        enc.y = np.zeros((enc.height // 8, enc.width // 8, 8, 8), dtype=np.int64)
+        enc.cb = enc.cr = enc.y.copy()
+        with pytest.raises(ValueError, match="must be positive"):
+            enc.check_layout()
+
     def test_rejects_unpadded_extent(self):
         enc = self.make()
         enc.width = 24  # not a multiple of the 4:2:0 macroblock width

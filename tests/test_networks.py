@@ -1,5 +1,6 @@
 """Network construction, output validity, anchor extraction, serialization."""
 
+import hashlib
 import os
 import tempfile
 
@@ -179,6 +180,26 @@ class TestDeterminism:
         a = gen.forward(Tensor(z.copy()))
         b = gen.forward(Tensor(z.copy()))
         assert np.array_equal(a.y.data, b.y.data)
+
+
+class TestParamNames:
+    """`save_params` writes arrays in `params()` order, so the names and their
+    order are the checkpoint format."""
+
+    @staticmethod
+    def digest(net):
+        keys = list(net.params())
+        return len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+    def test_key_order_is_pinned(self):
+        gen = N.Generator(small_spec(), np.random.default_rng(0))
+        disc = N.Discriminator(N.DiscriminatorSpec(resolution=32, base_channels=8), np.random.default_rng(0))
+        assert self.digest(gen) == (40, "d76acf7574f9ba3fd67d337cc5ea07d521f19252c80c63b99be13e77050f3db2")
+        assert self.digest(disc) == (28, "bb1ff4e121a7de8b17755603301c95258f8d66169d3e957a7426d4236682b46e")
+        assert self.digest(N.extract_anchor(gen)) == (
+            28, "f9513886faf23ae1c9fb39e402968552a9d86dd4a6c7e57c961fb1fec8aec8bd")
+        assert list(gen.params())[:3] == ["trunk.fc.w", "trunk.fc.b", "trunk.block0.conv1.w"]
+        assert list(disc.params())[-2:] == ["fc.w", "fc.b"]
 
 
 class TestSerialization:

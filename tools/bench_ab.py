@@ -10,7 +10,7 @@ once per side on every workload, alternating which side goes first from
 seed to seed. It then runs one `--trace 1` run per side on every workload
 and records every per-layer metric it reports. The output holds, per
 workload and end-to-end metric, each pair's values, each side's median and
-quartiles, and the pairs the change won.
+quartiles, the pairs the change won, and the verdict of `judge`.
 """
 
 from __future__ import annotations
@@ -45,6 +45,32 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         out[side] = {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
     out["median_change"] = out["change"]["median"] - out["parent"]["median"]
     return out
+
+
+def judge(s: dict, bound: float) -> dict:
+    """The acceptance rule for one `summarize` result; `bound` is a fraction
+    of the parent's median.
+
+    The verdict is "unresolved" when the parent's IQR is wider than the
+    bound, unless every change run reads better than every parent run;
+    otherwise "worse" when the change's median is worse than the parent's
+    by more than the bound; otherwise "ok". `gain` holds when the change won
+    at least 9 in 10 pairs and its median is better by more than the
+    parent's IQR.
+    """
+    sign = 1.0 if s["better"] == "lower" else -1.0
+    parent, change = zip(*s["pairs"])
+    limit = bound * abs(s["parent"]["median"])
+    improvement = -sign * s["median_change"]
+    separated = all(sign * (p - c) > 0 for p in parent for c in change)
+    if s["parent"]["iqr"] > limit and not separated:
+        verdict = "unresolved"
+    elif -improvement > limit:
+        verdict = "worse"
+    else:
+        verdict = "ok"
+    gain = 10 * s["won"] >= 9 * len(parent) and improvement > s["parent"]["iqr"]
+    return {"verdict": verdict, "gain": gain}
 
 
 def extract(rev: str, dest: str) -> str:
@@ -83,15 +109,16 @@ def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
     out = {}
     for w in workloads:
         sides = runs[w]
+        metrics = {}
+        for m in bench["end_to_end"]:
+            summary = summarize([r["metrics"][m["name"]] for r in sides["parent"]],
+                          [r["metrics"][m["name"]] for r in sides["change"]], m["better"])
+            metrics[m["name"]] = {**summary, **judge(summary, m["bound"])}
         out[w] = {
             "failed": {s: [r["failed"] for r in sides[s]] for s in sides},
             "attempted": {s: [r["attempted"] for r in sides[s]] for s in sides},
             "correct": {s: all(r["correct"] for r in sides[s]) for s in sides},
-            "metrics": {
-                m["name"]: summarize([r["metrics"][m["name"]] for r in sides["parent"]],
-                                     [r["metrics"][m["name"]] for r in sides["change"]], m["better"])
-                for m in bench["end_to_end"]
-            },
+            "metrics": metrics,
         }
     return out
 
