@@ -383,9 +383,10 @@ def cmd_fid(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(raw: str, what: str) -> list[int]:
+def _parse_list(raw: str, what: str, item=int) -> list:
+    """The non-empty tokens of comma-separated `raw`, each read by `item`."""
     try:
-        values = [int(tok) for tok in raw.split(",") if tok]
+        values = [item(tok) for tok in raw.split(",") if tok]
     except ValueError:
         raise UsageError([f"{what}: cannot read {raw!r} as a comma-separated integer list"])
     if not values:
@@ -396,8 +397,8 @@ def _parse_int_list(raw: str, what: str) -> list[int]:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     dtype = _dtype(cfg)
-    qfs = _parse_int_list(args.qf_list or "100,75,50,25", "--qf")
-    modes = (args.mode_list or "4:4:4,4:2:2,4:2:0").split(",")
+    qfs = _parse_list(args.qf_list or "100,75,50,25", "--qf")
+    modes = _parse_list(args.mode_list or "4:4:4,4:2:2,4:2:0", "--mode", str)
     issues = [f"quality factor {q} outside 1..100" for q in qfs if not 1 <= q <= 100]
     issues += [f"unknown mode {m!r}" for m in modes if m not in MODES]
     if issues:

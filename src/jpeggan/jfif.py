@@ -255,8 +255,6 @@ def _scan_bytes(enc: EncodedImage) -> bytes:
 
 def encode_jfif(enc: EncodedImage) -> bytes:
     enc.validate()
-    if enc.quality_factor not in _DQT:
-        raise ValueError(f"quality factor {enc.quality_factor} is not an integer in 1..100")
     header = _header(enc.quality_factor, enc.height, enc.width, enc.mode)
     return b"".join(seg for _, seg in header) + _scan_bytes(enc) + b"\xff\xd9"
 

@@ -131,13 +131,13 @@ def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
     return np.asarray(ycbcr, dtype=np.float64) @ M.T + off
 
 
-def dct_matrix(dtype=np.float64) -> np.ndarray:
+def dct_matrix() -> np.ndarray:
     """The orthonormal 8x8 DCT-II matrix T, so dct(b) = T @ b @ T.T."""
     n = np.arange(8)
     k = n.reshape(8, 1)
     T = np.cos((2 * n + 1) * k * np.pi / 16) * 0.5
     T[0, :] = 1.0 / np.sqrt(8.0)
-    return T.astype(dtype)
+    return T
 
 
 _DCT_T = dct_matrix()
@@ -170,12 +170,19 @@ def scale_quant_matrix(base: np.ndarray, quality: float) -> np.ndarray:
     return np.maximum(1, scaled).astype(np.int64)
 
 
+def _is_quality_factor(q) -> bool:
+    """True for an integer quality factor in 1..100 (75, 75.0 or np.int64(75))."""
+    return 1 <= q <= 100 and q == int(q)
+
+
 @lru_cache(maxsize=256)
-def quant_matrices(quality: float) -> tuple[np.ndarray, np.ndarray]:
-    """(luma, chroma) quantization matrices at the given quality factor.
+def quant_matrices(quality: int) -> tuple[np.ndarray, np.ndarray]:
+    """(luma, chroma) quantization matrices at an integer quality factor.
 
     Cached: every caller receives the same two arrays, so they are read-only.
     """
+    if not _is_quality_factor(quality):
+        raise ValueError(f"quality factor {quality} is not an integer in 1..100")
     tables = (
         scale_quant_matrix(LUMA_QUANT_BASE, quality),
         scale_quant_matrix(CHROMA_QUANT_BASE, quality),
@@ -301,7 +308,7 @@ class EncodedImage:
         metadata, and each plane's shape and integer dtype."""
         if self.mode not in MODES:
             raise ValueError(f"bad mode {self.mode!r}")
-        if not (0 < self.quality_factor <= 100):
+        if not _is_quality_factor(self.quality_factor):
             raise ValueError(f"bad quality factor {self.quality_factor}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"extents {self.width}x{self.height} must be positive")

@@ -4,9 +4,8 @@ The generator is a shared trunk (FC -> four upsampling residual blocks ->
 3-channel conv) followed by three coefficient paths, one per YCbCr
 component.  Each path is a 1x1-block local layer, an optional chroma
 mean-pool, an 8x8-block local layer producing DCT amplitudes, and a
-quantization layer.  The anchor generator is the same trunk followed by a
-parameterless tanh head scaled to [0, 255]; its trunk parameter shapes are
-identical to the generator's so pretrained weights copy over directly.
+quantization layer.  The anchor generator wraps a trunk (a frozen copy of
+the generator's) in a parameterless tanh head scaled to [0, 255].
 
 At 32x32 output resolution every width is halved from the 64x64 base,
 except the last residual block which keeps the base width.
@@ -14,6 +13,7 @@ except the last residual block which keeps the base width.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 
@@ -206,9 +206,8 @@ def pixel_head(trunk_out: Tensor) -> Tensor:
 class AnchorGenerator(Module):
     """The trunk plus a scaled-tanh head: latent -> RGB image in [0, 255]."""
 
-    def __init__(self, spec: GeneratorSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.trunk = Trunk(spec, rng)
+    def __init__(self, trunk: Trunk):
+        self.trunk = trunk
 
     def forward(self, z: Tensor) -> Tensor:
         return pixel_head(self.trunk.forward(z))
@@ -230,11 +229,7 @@ def cast_params(net, dtype) -> None:
 
 def extract_anchor(gen: Generator) -> AnchorGenerator:
     """Copy the generator's trunk, at its dtype, into a frozen anchor generator."""
-    rng = np.random.default_rng(0)  # weights are overwritten below
-    anchor = AnchorGenerator(gen.spec, rng)
-    src = gen.trunk.params()
-    for name, p in anchor.trunk.params().items():
-        p.data = src[name].data.copy()
+    anchor = AnchorGenerator(copy.deepcopy(gen.trunk))
     anchor.freeze()
     return anchor
 

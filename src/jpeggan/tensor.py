@@ -316,15 +316,13 @@ def expand(a: Tensor, shape) -> Tensor:
     old = a.shape
 
     def bw(g):
-        s = sum_axes(g, reduced, keepdims=False) if reduced else g
+        s = sum_axes(g, reduced) if reduced else g
         return (reshape(s, old),)
 
     return _result(data, "expand", (a,), bw, check=False)
 
 
-def sum_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
-    if axes is None:
-        return sum_all(a)
+def sum_axes(a: Tensor, axes) -> Tensor:
     if isinstance(axes, int):
         axes = (axes,)
     axes = tuple(sorted(ax % a.ndim for ax in axes))
@@ -332,10 +330,9 @@ def sum_axes(a: Tensor, axes, keepdims: bool = False) -> Tensor:
     old = a.shape
 
     def bw(g):
-        gk = g if keepdims else reshape(g, kept)
-        return (expand(gk, old),)
+        return (expand(reshape(g, kept), old),)
 
-    return _result(a.data.sum(axis=axes, keepdims=keepdims), "sum_axes", (a,), bw)
+    return _result(a.data.sum(axis=axes), "sum_axes", (a,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -15,10 +15,16 @@ check is the step training runs.
 
 All randomness flows through named `RngStreams` spawned per absolute step
 index, so a resumed run takes byte-identical draws to an uninterrupted one.
+
+A checkpoint's keys are defined once, by `_layout`: each group's parameters
+as `<group>/<name>`, then `step`, then each optimizer's `<opt>/t`,
+`<opt>/m/<name>` and `<opt>/v/<name>`. It maps them to the live arrays, so
+saving writes those and loading checks every key and shape, then fills them.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import os
 from dataclasses import dataclass
@@ -113,7 +119,9 @@ class DivergenceError(RuntimeError):
 
 
 class Adam:
-    """Adam with bias correction, updating parameter tensors in place."""
+    """Adam with bias correction, updating parameter tensors in place.
+
+    The step count `t` is a 0-d array, so `state_arrays` is the live state."""
 
     def __init__(
         self,
@@ -123,21 +131,20 @@ class Adam:
         beta2: float = 0.9,
         eps: float = 1e-8,
     ):
-        self.names = list(params)
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
+        self.t = np.array(0, dtype=np.int64)
         self.m = {k: np.zeros_like(params[k].data, dtype=np.float64) for k in params}
         self.v = {k: np.zeros_like(params[k].data, dtype=np.float64) for k in params}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for name in self.names:
+        b1c = 1.0 - self.beta1 ** int(self.t)
+        b2c = 1.0 - self.beta2 ** int(self.t)
+        for name, p in self.params.items():
             g = np.asarray(grads[name], dtype=np.float64)
             m = self.m[name]
             v = self.v[name]
@@ -146,21 +153,15 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            p = self.params[name]
             p.data -= update.astype(p.data.dtype)
 
     def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}/t": np.array(self.t, dtype=np.int64)}
-        for k in self.names:
+        """The live optimizer state under its checkpoint keys."""
+        out = {f"{prefix}/t": self.t}
+        for k in self.params:
             out[f"{prefix}/m/{k}"] = self.m[k]
             out[f"{prefix}/v/{k}"] = self.v[k]
         return out
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str) -> None:
-        self.t = int(arrays[f"{prefix}/t"])
-        for k in self.names:
-            self.m[k] = np.array(arrays[f"{prefix}/m/{k}"], dtype=np.float64)
-            self.v[k] = np.array(arrays[f"{prefix}/v/{k}"], dtype=np.float64)
 
 
 def gradient_penalty(
@@ -254,59 +255,40 @@ class _CsvLog:
             self.fh.close()
 
 
-def _collect_params(groups: dict[str, dict[str, Tensor]], extra: dict[str, np.ndarray]):
-    arrays: dict[str, np.ndarray] = {}
-    for group, params in groups.items():
-        for name, p in params.items():
-            arrays[f"{group}/{name}"] = p.data
-    arrays.update(extra)
-    return arrays
+def _layout(step: int, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]):
+    """Every checkpoint key, in file order, mapped to the live array that holds it."""
+    live = {f"{group}/{k}": p.data for group, params in groups.items() for k, p in params.items()}
+    live["step"] = np.array(step, dtype=np.int64)
+    for name, opt in optimizers.items():
+        live.update(opt.state_arrays(name))
+    return live
 
 
 def save_checkpoint(path, step: int, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> None:
-    extra = {"step": np.array(step, dtype=np.int64)}
-    for name, opt in optimizers.items():
-        extra.update(opt.state_arrays(name))
-    networks.save_params(path, _collect_params(groups, extra))
-
-
-def _checkpoint_arrays(path, groups: dict[str, dict[str, Tensor]], optimized: dict[str, dict[str, Tensor]]):
-    """The arrays of checkpoint `path`, checked to hold the step, every
-    parameter of `groups`, and the Adam state of each optimizer in
-    `optimized` (name -> the parameters it updates), each in its shape."""
-    shapes = {"step": ()}
-    for group, params in groups.items():
-        shapes.update({f"{group}/{k}": p.data.shape for k, p in params.items()})
-    for name, params in optimized.items():
-        shapes[f"{name}/t"] = ()
-        for k, p in params.items():
-            shapes[f"{name}/m/{k}"] = shapes[f"{name}/v/{k}"] = p.data.shape
-    arrays = networks.load_params(path)
-    for key, shape in shapes.items():
-        if key not in arrays:
-            raise ValueError(f"checkpoint missing {key}")
-        if arrays[key].shape != shape:
-            raise ValueError(f"{key}: shape {arrays[key].shape} != {shape}")
-    return arrays
+    networks.save_params(path, _layout(step, groups, optimizers))
 
 
 def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
-    """Load `groups` and `optimizers` from `path` and return its step; a
-    checkpoint that lacks any of them changes nothing."""
-    arrays = _checkpoint_arrays(path, groups, {name: opt.params for name, opt in optimizers.items()})
-    for group, params in groups.items():
-        for name, p in params.items():
-            p.data = arrays[f"{group}/{name}"].astype(p.data.dtype)
-    for name, opt in optimizers.items():
-        opt.load_state(arrays, name)
-    return int(arrays["step"])
+    """Load `groups` and `optimizers` from `path` in place and return its
+    step; a checkpoint that lacks any array or holds one in another shape
+    changes nothing."""
+    live = _layout(0, groups, optimizers)
+    arrays = networks.load_params(path)
+    for key, a in live.items():
+        if key not in arrays:
+            raise ValueError(f"checkpoint missing {key}")
+        if arrays[key].shape != a.shape:
+            raise ValueError(f"{key}: shape {arrays[key].shape} != {a.shape}")
+    for key, a in live.items():
+        a[...] = arrays[key]
+    return int(live["step"])
 
 
 def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> None:
     """Raise OSError or ValueError unless `train` (given `anchor`) or
     `pretrain_baseline` (without) can resume from checkpoint `path`."""
-    groups = _phase_groups(gen, disc, anchor)
-    _checkpoint_arrays(path, groups, {"adam_g": groups["gen"], "adam_d": groups["disc"]})
+    groups = copy.deepcopy(_phase_groups(gen, disc, anchor))
+    load_checkpoint(path, groups, _optimizers(groups, TrainConfig()))
 
 
 def _sample_batch(data: np.ndarray, streams: RngStreams, tag: str, index: int, n: int):
@@ -338,9 +320,8 @@ def _run_adversarial(
     dtype = data.dtype if data.dtype in (np.float32, np.float64) else np.float64
     data = np.asarray(data, dtype=dtype)
     gen_params, disc_params = groups["gen"], groups["disc"]
-    opt_g = Adam(gen_params, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = Adam(disc_params, cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    optimizers = {"adam_g": opt_g, "adam_d": opt_d}
+    optimizers = _optimizers(groups, cfg)
+    opt_g, opt_d = optimizers["adam_g"], optimizers["adam_d"]
     start_step = 0 if resume_from is None else load_checkpoint(resume_from, groups, optimizers)
     log = _CsvLog(csv_path, resume=start_step > 0)
     reports: list[LossReport] = []
@@ -468,6 +449,14 @@ def _phase_groups(gen: networks.Generator, disc: networks.Discriminator, anchor=
     if anchor is None:
         return {"gen": {f"trunk.{k}": v for k, v in gen.trunk.params().items()}, "disc": disc.params()}
     return {"gen": gen.params(), "disc": disc.params(), "anchor": anchor.params()}
+
+
+def _optimizers(groups: dict[str, dict[str, Tensor]], cfg: TrainConfig) -> dict[str, Adam]:
+    """A phase's optimizers under their checkpoint names."""
+    return {
+        "adam_g": Adam(groups["gen"], cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps),
+        "adam_d": Adam(groups["disc"], cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps),
+    }
 
 
 def load_pretrained(path, gen: networks.Generator, disc: networks.Discriminator) -> None:

@@ -66,3 +66,17 @@ class TestJudge:
         # every pair won, by less than the parent's IQR
         assert self.judge(parent, [p - 0.05 for p in parent])["gain"] is False
         assert self.judge(parent, [p + 1.0 for p in parent], "higher")["gain"] is True
+
+
+class TestSrcLines:
+    def test_counts_python_files_under_src_only(self, tmp_path):
+        (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "__pycache__" / "b.cpython-311.pyc").write_bytes(b"\n" * 7)
+        (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n\n")
+        (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\nw = 4")  # no final newline
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "t.py").write_text("ignored\n" * 5)
+        assert bench_ab.src_lines(str(tmp_path)) == 4
+
+    def test_tree_without_src_has_none(self, tmp_path):
+        assert bench_ab.src_lines(str(tmp_path)) == 0

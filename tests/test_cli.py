@@ -415,3 +415,9 @@ class TestAnalysisCommands:
         assert run("sweep", "synthetic", "--config", tiny_config, "--qf", ",", "--out", out) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "error: --qf: ',' names no value\n"
         assert not out.exists()
+
+    def test_sweep_rejects_empty_mode_list(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "synthetic", "--config", tiny_config, "--mode", ",", "--out", out) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --mode: ',' names no value\n"
+        assert not out.exists()

@@ -155,6 +155,13 @@ class TestReferenceCodec:
         with pytest.raises(ValueError):
             codec.encode_image(np.zeros((8, 8)), 50, "4:4:4")
 
+    def test_rejects_non_integer_quality(self):
+        # quantizing with the qf-75.5 tables but storing qf 75 would mislabel the container
+        img = np.full((16, 16, 3), 128.0)
+        with pytest.raises(ValueError, match="not an integer"):
+            codec.encode_image(img, 75.5, "4:2:0")
+        assert codec.encode_image(img, 75.0, "4:2:0").quality_factor == 75
+
     def test_identity_on_exactly_representable_images(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -83,9 +83,13 @@ class TestQuantMatrices:
             assert ql.min() >= 1 and qc.min() >= 1
 
     def test_out_of_range_quality(self):
-        for bad in (0, -5, 101):
+        for bad in (0, -5, 101, 75.5):
             with pytest.raises(ValueError):
                 jpeg.quant_matrices(bad)
+
+    def test_integral_quality_of_any_type(self):
+        for same in (75.0, np.int64(75)):
+            assert all(np.array_equal(a, b) for a, b in zip(jpeg.quant_matrices(same), jpeg.quant_matrices(75)))
 
     def test_repeated_calls_share_read_only_tables(self):
         first, again = jpeg.quant_matrices(75), jpeg.quant_matrices(75)
@@ -310,6 +314,13 @@ class TestEncodedImage:
         enc = self.make()
         setattr(enc, attr, 0)
         with pytest.raises(ValueError, match="must be positive"):
+            enc.check_layout()
+
+    @pytest.mark.parametrize("qf", [0, 101, 75.5])
+    def test_rejects_quality_that_is_not_an_integer_in_range(self, qf):
+        enc = self.make()
+        enc.quality_factor = qf
+        with pytest.raises(ValueError, match="bad quality factor"):
             enc.check_layout()
 
     def test_rejects_unpadded_extent(self):

@@ -48,7 +48,7 @@ class TestShapes:
 
     def test_anchor_output_range_and_shape(self):
         rng = np.random.default_rng(2)
-        anchor = N.AnchorGenerator(small_spec(), rng)
+        anchor = N.AnchorGenerator(N.Trunk(small_spec(), rng))
         img = anchor.forward(Tensor(rng.normal(size=(3, 8)))).data
         assert img.shape == (3, 3, 32, 32)
         assert img.min() >= 0.0 and img.max() <= 255.0
@@ -147,7 +147,7 @@ class TestAnchor:
     def test_trunk_param_shapes_match(self):
         rng = np.random.default_rng(11)
         gen = N.Generator(small_spec(), rng)
-        anchor = N.AnchorGenerator(small_spec(), rng)
+        anchor = N.AnchorGenerator(N.Trunk(small_spec(), rng))
         gp = gen.trunk.params()
         ap = anchor.trunk.params()
         assert set(gp) == set(ap)

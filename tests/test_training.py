@@ -1,5 +1,6 @@
 """Optimizer arithmetic, penalty closed forms, loss decomposition, loops."""
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -416,12 +417,47 @@ class TestTrainingLoops:
         with pytest.raises(ValueError, match=re.escape(key)):
             training.check_resume(path, gen2, disc2, anchor2)
         groups2 = training._phase_groups(gen2, disc2, anchor2)
-        before = {k: p.data for k, p in groups2["gen"].items()}
         opts2 = {"adam_g": training.Adam(gen2.params(), 1e-4), "adam_d": training.Adam(disc2.params(), 3e-4)}
+        for opt in opts2.values():
+            for m in opt.m.values():
+                m[...] = 0.5
+
+        def state():
+            params = [p.data.copy() for group in groups2.values() for p in group.values()]
+            moments = [a.copy() for opt in opts2.values() for a in [*opt.m.values(), *opt.v.values()]]
+            return params + moments + [int(opt.t) for opt in opts2.values()]
+
+        before = state()
         with pytest.raises(ValueError, match=re.escape(key)):
             training.load_checkpoint(path, groups2, opts2)
-        assert all(p.data is before[k] for k, p in groups2["gen"].items())  # nothing was loaded
-        assert opts2["adam_g"].t == 0
+        assert all(np.array_equal(a, b) for a, b in zip(state(), before, strict=True)), "nothing was loaded"
+
+
+class TestCheckpointLayout:
+    """`save_checkpoint` writes each phase's keys in one fixed order; the
+    names and their order are the file format."""
+
+    @staticmethod
+    def digest(path):
+        keys = list(networks.load_params(str(path)))
+        return len(keys), hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+    def test_key_order_is_pinned(self, tmp_path):
+        gen, anchor, disc = build_nets(0)
+        want = {
+            "pretrain": (171, "203ccdb43085edf8b2a7087f857ab92d84500ce00f71268c492192368df05496"),
+            "joint": (235, "8290a36e345fa3095657f9fcc9618846376375b1f88fd7d80df19be1524faed6"),
+        }
+        for phase, groups in (("pretrain", training._phase_groups(gen, disc)),
+                              ("joint", training._phase_groups(gen, disc, anchor))):
+            opts = {"adam_g": training.Adam(groups["gen"], 1e-4), "adam_d": training.Adam(groups["disc"], 3e-4)}
+            path = tmp_path / phase
+            training.save_checkpoint(path, 5, groups, opts)
+            assert self.digest(path) == want[phase], phase
+            keys = list(networks.load_params(str(path)))
+            assert keys[:2] == ["gen/trunk.fc.w", "gen/trunk.fc.b"]
+            assert keys[keys.index("step") + 1] == "adam_g/t"
+            assert keys[-2:] == ["adam_d/m/fc.b", "adam_d/v/fc.b"]
 
 
 class TestPrecision:

@@ -10,7 +10,8 @@ once per side on every workload, alternating which side goes first from
 seed to seed. It then runs one `--trace 1` run per side on every workload
 and records every per-layer metric it reports. The output holds, per
 workload and end-to-end metric, each pair's values, each side's median and
-quartiles, the pairs the change won, and the verdict of `judge`.
+quartiles, the pairs the change won, and the verdict of `judge`. It also
+holds the line count of each side's `src/` Python files and their difference.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def judge(s: dict, bound: float) -> dict:
         verdict = "ok"
     gain = 10 * s["won"] >= 9 * len(parent) and improvement > s["parent"]["iqr"]
     return {"verdict": verdict, "gain": gain}
+
+
+def src_lines(tree: str) -> int:
+    """Lines (newline characters, as `wc -l` counts them) in the `.py` files under `tree`/src."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(tree, "src")):
+        for name in filter(lambda n: n.endswith(".py"), files):
+            with open(os.path.join(root, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def extract(rev: str, dest: str) -> str:
@@ -153,6 +164,7 @@ def main(argv=None) -> int:
             "tag": args.tag,
             "command": "python3 tools/bench_ab.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "commits": commits,
+            "src_lines": {side: src_lines(trees[side]) for side in ("parent", "change")},
             "seeds": seeds,
             "run_seconds": bench["run_seconds"],
             "host": {"python": platform.python_version(), "machine": platform.machine(),
@@ -160,6 +172,7 @@ def main(argv=None) -> int:
             "workloads": compare(bench, trees, seeds),
             "traced": traced(bench, trees, seeds[0]),
         }
+    report["src_lines"]["net"] = report["src_lines"]["change"] - report["src_lines"]["parent"]
     path = f"BENCH_{args.tag}.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)
