@@ -81,6 +81,8 @@ def write_ppm(path, image: np.ndarray) -> None:
     image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) image, got {image.shape}")
+    if image.size == 0:
+        raise ValueError(f"empty image extent {image.shape[1]}x{image.shape[0]}")
     if image.min() < 0 or image.max() > 255:
         raise ValueError("pixel values outside [0, 255]")
     data = np.round(image).astype(np.uint8)
@@ -153,8 +155,8 @@ def synthetic_dataset(seed: int, count: int, size: int = 32) -> np.ndarray:
     """Deterministic corpus; image i depends only on (seed, i), not on count."""
     if count < 1:
         raise ValueError("count must be positive")
-    if size % 16:
-        raise ValueError("size must be a multiple of 16")
+    if size < 16 or size % 16:
+        raise ValueError("size must be a positive multiple of 16")
     streams = RngStreams(seed)
     return np.stack(
         [synthetic_image(streams.spawn("synthetic-image", i), size) for i in range(count)]
@@ -188,6 +190,8 @@ def write_sample_grid(path, images: np.ndarray, cols: int = 8, gap: int = 2) -> 
         raise ValueError(f"expected (n, 3, h, w) images, got {images.shape}")
     if cols < 1:
         raise ValueError(f"grid needs at least one column, got {cols}")
+    if images.shape[0] == 0:
+        raise ValueError("grid needs at least one image")
     n, _, h, w = images.shape
     cols = min(cols, n)
     rows = (n + cols - 1) // cols

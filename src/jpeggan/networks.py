@@ -24,6 +24,7 @@ from .jpeg import (
     AMPLITUDE_LIMIT,
     EncodedImage,
     MODES,
+    _is_quality_factor,
     blockify,
     mode_factors,
     quant_matrices,
@@ -66,8 +67,8 @@ class GeneratorSpec:
             out.append(f"path_channels must be >= 1, got {self.path_channels}")
         if self.mode not in MODES:
             out.append(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        if not (0 < self.quality_factor <= 100):
-            out.append(f"quality factor must lie in 1..100, got {self.quality_factor}")
+        if not _is_quality_factor(self.quality_factor):
+            out.append(f"quality factor must be an integer in 1..100, got {self.quality_factor}")
         return out
 
     def validate(self) -> None:

@@ -35,6 +35,14 @@ sequence, results are bit-identical.  Tensors are immutable once created,
 apart from in-place parameter updates performed by an optimizer between
 graph builds.
 
+A tape lives exactly as long as its output is referenced, and is freed by
+reference counting alone: no backward closure refers to its own output
+strongly (``tanh`` holds a weak reference), so the graph holds no cycle.
+Closures keep only what they cannot recompute from their inputs: ``relu``,
+``clamp`` and ``abs_`` build their mask or sign from the input when the
+backward runs, so the forward pass, with or without a tape, allocates no
+full-size mask.
+
 Shapes must match exactly for binary elementwise ops; the only implicit
 mixing allowed is scalar-with-tensor.  ``expand`` exists as the explicit
 escape hatch where a broadcast is genuinely wanted (bias addition).
@@ -42,6 +50,7 @@ escape hatch where a broadcast is genuinely wanted (bias addition).
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -106,7 +115,7 @@ def _finite_or_raise(data: np.ndarray, op: str) -> None:
 class Tensor:
     """A dense array plus optional autodiff bookkeeping."""
 
-    __slots__ = ("data", "requires_grad", "_parents", "_bw", "_op")
+    __slots__ = ("data", "requires_grad", "_parents", "_bw", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -218,29 +227,26 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = (a.data > 0).astype(a.data.dtype)
-
     def bw(g):
-        return (mul(g, Tensor(mask)),)
+        return (mul(g, Tensor((a.data > 0).astype(a.data.dtype))),)
 
     return _result(np.maximum(a.data, 0.0), "relu", (a,), bw, check=False)
 
 
 def abs_(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-
     def bw(g):
-        return (mul(g, Tensor(sign)),)
+        return (mul(g, Tensor(np.sign(a.data))),)
 
     return _result(np.abs(a.data), "abs", (a,), bw, check=False)
 
 
 def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = _result(y, "tanh", (a,), None, check=False)
+    out = _result(np.tanh(a.data), "tanh", (a,), None, check=False)
+    ref = weakref.ref(out)  # `bw` lives on `out`: a strong reference would be a cycle
 
     def bw(g):
-        return (mul(g, add_scalar(scalar_mul(mul(out, out), -1.0), 1.0)),)
+        y = ref()
+        return (mul(g, add_scalar(scalar_mul(mul(y, y), -1.0), 1.0)),)
 
     out._bw = bw if out.requires_grad else None
     return out
@@ -248,10 +254,9 @@ def tanh(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the input is inside."""
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
 
     def bw(g):
-        return (mul(g, Tensor(mask)),)
+        return (mul(g, Tensor(((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype))),)
 
     return _result(np.clip(a.data, lo, hi), "clamp", (a,), bw, check=False)
 

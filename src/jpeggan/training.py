@@ -16,6 +16,13 @@ check is the step training runs.
 All randomness flows through named `RngStreams` spawned per absolute step
 index, so a resumed run takes byte-identical draws to an uninterrupted one.
 
+A step holds one player's tape at a time. The critic's loss, with the
+penalty's double-backward graph, is dropped right after the critic's update
+and the generator's right after its own, so the next pass reuses their
+memory; the report keeps only floats. Before its first step the loop asks
+glibc's malloc to keep freed memory in the process (`_keep_freed_memory`),
+so that reuse costs no page faults.
+
 A checkpoint's keys are defined once, by `_layout`: each group's parameters
 as `<group>/<name>`, then `step`, then each optimizer's `<opt>/t`,
 `<opt>/m/<name>` and `<opt>/v/<name>`. It maps them to the live arrays, so
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import os
 from dataclasses import dataclass
 
@@ -56,6 +64,8 @@ __all__ = [
 CSV_COLUMNS = ("step", "d_loss", "g_loss", "anchor_term", "gp_term", "mean_grad_norm")
 
 GRAD_NORM_EPS = 1e-12  # keeps the penalty's sqrt differentiable at zero
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
 
 
 @dataclass
@@ -300,6 +310,25 @@ def _latents(streams: RngStreams, tag: str, index: int, n: int, dim: int, dtype)
     return streams.spawn(tag, index).standard_normal((n, dim)).astype(dtype)
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed heap memory in the process.
+
+    A step frees its tapes and the next step allocates the same sizes again.
+    By default glibc hands a freed heap top back to the OS and serves large
+    blocks by mmap, so every step faults its memory in afresh. A 1 GiB trim
+    threshold and a 32 MiB mmap threshold keep that memory for reuse; the
+    process's RSS then does not shrink after a run. Does nothing where
+    `mallopt` is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def _run_adversarial(
     make_fake,  # (z_tensor) -> pixels Tensor on the tape
     anchor_eval,  # (z_np) -> pixels np or None
@@ -326,6 +355,7 @@ def _run_adversarial(
     log = _CsvLog(csv_path, resume=start_step > 0)
     reports: list[LossReport] = []
     last_checkpoint = start_step if start_step > 0 else None
+    _keep_freed_memory()
 
     def make_fake_eval(z: np.ndarray) -> np.ndarray:
         with T.no_grad():
@@ -357,6 +387,8 @@ def _run_adversarial(
                         disc.forward, real, make_fake_eval(z), eps, cfg.gp_weight
                     )
                     opt_d.step(param_grads(d_loss, disc_params))
+                    d_val = float(d_loss.data)
+                    del d_loss  # free the critic's tape, penalty graph included, for the generator pass
 
                 z = _latents(streams, f"{phase}-z-gen", step, cfg.batch_size, latent_dim, dtype)
                 g_loss, (score_fake_gen, anchor_val) = generator_loss(
@@ -369,7 +401,7 @@ def _run_adversarial(
                 raise diverged(step, f"non-finite value in the graph: {exc}") from exc
 
             report = LossReport(
-                step=step, d_loss=float(d_loss.data), g_loss=g_val, anchor_term=anchor_val,
+                step=step, d_loss=d_val, g_loss=g_val, anchor_term=anchor_val,
                 gp_term=gp_val, mean_grad_norm=mean_norm,
                 score_real=s_real, score_fake=s_fake, score_fake_gen=score_fake_gen,
             )

@@ -2,6 +2,10 @@
 
 import importlib.util
 import pathlib
+import resource
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +70,20 @@ class TestJudge:
         # every pair won, by less than the parent's IQR
         assert self.judge(parent, [p - 0.05 for p in parent])["gain"] is False
         assert self.judge(parent, [p + 1.0 for p in parent], "higher")["gain"] is True
+
+
+class TestRusageDelta:
+    def test_faults_and_system_seconds_between_readings(self):
+        before = SimpleNamespace(ru_minflt=1200, ru_stime=3.25, ru_utime=9.0)
+        after = SimpleNamespace(ru_minflt=1700, ru_stime=4.0, ru_utime=20.0)
+        assert bench_ab.rusage_delta(before, after) == {"minflt": 500, "stime_s": 0.75}
+
+    def test_counts_a_finished_child(self):
+        # RUSAGE_CHILDREN grows once a waited-for child has exited
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, "-c", "bytearray(8 << 20)"], check=True)
+        delta = bench_ab.rusage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
+        assert delta["minflt"] > 0 and delta["stime_s"] >= 0
 
 
 class TestSrcLines:

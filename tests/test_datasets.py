@@ -53,6 +53,13 @@ class TestPpm:
         with pytest.raises(ValueError):
             datasets.write_ppm(tmp_path / "o.ppm", np.full((2, 2, 3), 300.0))
 
+    @pytest.mark.parametrize("shape, extent", [((0, 4, 3), "4x0"), ((4, 0, 3), "0x4")])
+    def test_write_rejects_an_empty_extent(self, tmp_path, shape, extent):
+        path = tmp_path / "e.ppm"
+        with pytest.raises(ValueError, match=f"empty image extent {extent}"):
+            datasets.write_ppm(path, np.zeros(shape))
+        assert not path.exists()
+
     @pytest.mark.parametrize("extent", [b"100000000000000000000 1", b"4000000000 4000", b"3 3"])
     def test_header_claims_more_samples_than_the_file_holds(self, tmp_path, extent):
         path = tmp_path / "huge.ppm"
@@ -175,6 +182,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             datasets.synthetic_dataset(0, 2, size=24)
 
+    @pytest.mark.parametrize("size", [0, -16, 24])
+    def test_size_must_be_a_positive_multiple_of_16(self, size):
+        with pytest.raises(ValueError, match="size must be a positive multiple of 16"):
+            datasets.synthetic_dataset(0, 2, size=size)
+
 
 class TestLoadDataset:
     def test_dispatches(self, tmp_path):
@@ -221,4 +233,10 @@ class TestSampleGrid:
         path = tmp_path / "grid.ppm"
         with pytest.raises(ValueError, match="column"):
             datasets.write_sample_grid(path, np.zeros((2, 3, 8, 8)), cols=cols)
+        assert not path.exists()
+
+    def test_rejects_an_empty_batch(self, tmp_path):
+        path = tmp_path / "grid.ppm"
+        with pytest.raises(ValueError, match="at least one image"):
+            datasets.write_sample_grid(path, np.zeros((0, 3, 8, 8)))
         assert not path.exists()

@@ -72,6 +72,17 @@ class TestShapes:
         with pytest.raises(ValueError):
             small_spec(quality_factor=0).validate()
 
+    @pytest.mark.parametrize("qf", [75, 75.0, np.int64(75)])
+    def test_integer_quality_factor_passes(self, qf):
+        assert small_spec(quality_factor=qf).problems() == []
+
+    @pytest.mark.parametrize("qf", [75.5, 0, 101])
+    def test_quality_factor_must_be_an_integer_in_range(self, qf):
+        # the spec rejects what the quantization tables would reject later
+        assert small_spec(quality_factor=qf).problems() == [
+            f"quality factor must be an integer in 1..100, got {qf}"
+        ]
+
 
 class TestChannelHalving:
     def test_generator_plan(self):

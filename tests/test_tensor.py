@@ -6,6 +6,9 @@ identities: adjoint pairs for the linear ops, linearity of backward, and a
 finite-difference check THROUGH a differentiated gradient (double backward).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -788,6 +791,74 @@ class TestHigherOrder:
         assert sorted(weight_grads) == [(1, 3, 3, 3), (3, 2, 3, 3)]
         assert np.array_equal(gx.data, gx_all.data)
         assert gw1.shape == w1.shape and gw2.shape == w2.shape
+
+
+def _eager_mask_op(name, a, lo=-1.0, hi=1.0):
+    """relu, abs_ or clamp with its mask (or sign) built at forward time."""
+    x = a.data
+    if name == "relu":
+        y, mask = np.maximum(x, 0.0), (x > 0).astype(x.dtype)
+    elif name == "abs_":
+        y, mask = np.abs(x), np.sign(x)
+    else:
+        y, mask = np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(x.dtype)
+    return T._result(y, name, (a,), lambda g: (T.mul(g, Tensor(mask)),), check=False)
+
+
+class TestMasksAtBackward:
+    # relu, abs_ and clamp build their mask from the input inside the
+    # backward closure; the derivatives equal those of masks built eagerly
+    OPS = {
+        "relu": T.relu,
+        "abs_": T.abs_,
+        "clamp": lambda a: T.clamp(a, -1.0, 1.0),
+    }
+
+    @staticmethod
+    def derivatives(op, x0, w, v):
+        # first derivative of sum(w * op(x)^2), then the derivative of its
+        # v-weighted sum, through the first gradient's tape
+        x = Tensor(x0, requires_grad=True)
+        y = op(x)
+        (g,) = T.grad(T.sum_all(T.mul(T.mul(y, y), Tensor(w))), [x], create_graph=True)
+        (h,) = T.grad(T.sum_all(T.mul(g, Tensor(v))), [x])
+        return y.data, g.data, h.data
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_eager_masks(self, name, dtype):
+        rng = np.random.default_rng(34)
+        # exact zeros and clamp bounds, either side of them, and a spread
+        x0 = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 2.5, -2.5],
+                             rng.uniform(-2, 2, 24)]).astype(dtype)
+        w = rng.uniform(0.5, 1.5, x0.shape).astype(dtype)
+        v = rng.uniform(-1, 1, x0.shape).astype(dtype)
+        got = self.derivatives(self.OPS[name], x0, w, v)
+        want = self.derivatives(lambda a: _eager_mask_op(name, a), x0, w, v)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype
+            assert np.array_equal(a, b)
+        # the second derivative is 2 w v op'(x)^2: zero at relu's and abs's
+        # 0, nonzero on the clamp's closed bounds
+        mask = {"relu": x0 > 0, "abs_": x0 != 0, "clamp": np.abs(x0) <= 1}[name]
+        assert np.array_equal(got[2] != 0, mask & (v != 0))
+
+
+class TestTapeLifetime:
+    def test_tanh_output_is_freed_without_the_cycle_collector(self):
+        # tanh's backward reads its own output; holding it weakly keeps the
+        # output and the graph above it out of a reference cycle
+        gc.disable()
+        try:
+            x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+            y = T.tanh(T.scalar_mul(x, 2.0))
+            refs = [weakref.ref(y), weakref.ref(y._parents[0])]
+            (g,) = T.grad(T.sum_all(y), [x])
+            assert np.allclose(g.data, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2))
+            del y
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestGradientCheckUtility:

@@ -1,8 +1,11 @@
 """Optimizer arithmetic, penalty closed forms, loss decomposition, loops."""
 
+import gc
 import hashlib
 import re
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,6 +434,80 @@ class TestTrainingLoops:
         with pytest.raises(ValueError, match=re.escape(key)):
             training.load_checkpoint(path, groups2, opts2)
         assert all(np.array_equal(a, b) for a, b in zip(state(), before, strict=True)), "nothing was loaded"
+
+
+class TestTapeLifetimes:
+    """Each player's tape, the critic's penalty graph included, is freed by
+    reference counting as soon as its update is done: with the cycle
+    collector off, no tensor of an earlier loss's graph is alive when the
+    next loss is built."""
+
+    @pytest.mark.parametrize("phase", ["pretrain", "joint"])
+    @pytest.mark.parametrize("critic_updates", [1, 2])
+    def test_no_earlier_tape_alive_when_a_loss_is_built(self, monkeypatch, phase, critic_updates):
+        gen, anchor, disc = build_nets(14)
+        params = {id(p) for net in (gen, anchor, disc) for p in net.params().values()}
+        tapes, seen = [], []  # weakrefs to each loss's graph; (loss, tensors alive) at each build
+
+        def watched(name, loss_fn):
+            def build(*args, **kwargs):
+                seen.append((name, sum(r() is not None for refs in tapes for r in refs)))
+                loss, terms = loss_fn(*args, **kwargs)
+                tapes.append([weakref.ref(t) for t in T._toposort(loss) if id(t) not in params])
+                return loss, terms
+
+            return build
+
+        monkeypatch.setattr(training, "critic_loss", watched("critic", training.critic_loss))
+        monkeypatch.setattr(training, "generator_loss", watched("generator", training.generator_loss))
+        cfg = training.TrainConfig(steps=2, batch_size=2, critic_updates_per_gen=critic_updates)
+        data = datasets.synthetic_dataset(0, 8, size=32).astype(np.float64)
+        gc.disable()
+        try:
+            if phase == "pretrain":
+                reports = training.pretrain_baseline(gen, disc, data, cfg, RngStreams(1))
+            else:
+                reports = training.train(gen, anchor, disc, data, cfg, RngStreams(1))
+        finally:
+            gc.enable()
+        assert len(reports) == 2 and all(r.finite() for r in reports)
+        assert [name for name, _ in seen] == (["critic"] * critic_updates + ["generator"]) * 2
+        assert seen == [(name, 0) for name, _ in seen]
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestKeepFreedMemory:
+    def test_sets_the_glibc_thresholds(self, monkeypatch):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=Mallopt()))
+        training._keep_freed_memory()
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("open_libc", [lambda name: SimpleNamespace(), _no_c_library])
+    def test_does_nothing_without_mallopt(self, monkeypatch, open_libc):
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            return open_libc(name)
+
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        assert training._keep_freed_memory() is None
+        gen, anchor, disc = build_nets(15)
+        cfg = training.TrainConfig(steps=1, batch_size=2)
+        data = datasets.synthetic_dataset(0, 4, size=32).astype(np.float64)
+        reports = training.train(gen, anchor, disc, data, cfg, RngStreams(1))
+        assert opened == [None, None]  # the direct call, then the one before the first step
+        assert len(reports) == 1 and reports[0].finite()
 
 
 class TestCheckpointLayout:

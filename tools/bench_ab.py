@@ -10,8 +10,11 @@ once per side on every workload, alternating which side goes first from
 seed to seed. It then runs one `--trace 1` run per side on every workload
 and records every per-layer metric it reports. The output holds, per
 workload and end-to-end metric, each pair's values, each side's median and
-quartiles, the pairs the change won, and the verdict of `judge`. It also
-holds the line count of each side's `src/` Python files and their difference.
+quartiles, the pairs the change won, and the verdict of `judge`; per
+workload and side, each run's minor page faults and system CPU seconds,
+read as `RUSAGE_CHILDREN` deltas around the benchmark process, and their
+medians. It also holds the line count of each side's `src/` Python files
+and their difference.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -74,6 +78,11 @@ def judge(s: dict, bound: float) -> dict:
     return {"verdict": verdict, "gain": gain}
 
 
+def rusage_delta(before, after) -> dict:
+    """Minor page faults and system CPU seconds between two `getrusage` readings."""
+    return {"minflt": after.ru_minflt - before.ru_minflt, "stime_s": after.ru_stime - before.ru_stime}
+
+
 def src_lines(tree: str) -> int:
     """Lines (newline characters, as `wc -l` counts them) in the `.py` files under `tree`/src."""
     total = 0
@@ -98,13 +107,15 @@ def run_bench(bench: dict, tree: str, workload: str, seed: int, trace: int) -> d
     """One benchmark run in `tree`; its result is the last line of standard output."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    usage = rusage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}, "rusage": usage}
 
 
 def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
@@ -129,6 +140,9 @@ def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
             "failed": {s: [r["failed"] for r in sides[s]] for s in sides},
             "attempted": {s: [r["attempted"] for r in sides[s]] for s in sides},
             "correct": {s: all(r["correct"] for r in sides[s]) for s in sides},
+            "rusage": {s: {k: {"runs": [r["rusage"][k] for r in sides[s]],
+                               "median": statistics.median(r["rusage"][k] for r in sides[s])}
+                           for k in ("minflt", "stime_s")} for s in sides},
             "metrics": metrics,
         }
     return out
