@@ -50,7 +50,7 @@ def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[Enc
     imgs = np.asarray(images, dtype=np.float64)
     if imgs.ndim != 4 or imgs.shape[1] != 3:
         raise ValueError(f"expected (N, 3, H, W), got {imgs.shape}")
-    if imgs.min() < 0.0 or imgs.max() > 255.0:
+    if not (imgs.min() >= 0.0 and imgs.max() <= 255.0):  # NaN fails both
         raise ValueError("pixel values outside [0, 255]")
     fv, fh = jpeg.mode_factors(mode)
     rgb = imgs.transpose(0, 2, 3, 1)  # the color transform works on (..., 3)

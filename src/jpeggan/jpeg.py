@@ -275,8 +275,12 @@ def check_amplitudes(name: str, levels: np.ndarray, q: np.ndarray) -> None:
     """Reject quantizer levels whose amplitudes leave the container's range.
 
     `levels` has trailing 8x8 axes and any leading ones; `q` is the table.
+    A level may reach (1024 + 8 q) // q in magnitude, the largest whose
+    amplitude |level * q| stays within 1024 + 8 q. Levels are compared with
+    that bound rather than multiplied, so no product can wrap around.
     """
-    if np.any(np.abs(levels * q) > 1024 + 8 * q):
+    bound = (1024 + 8 * q) // q
+    if np.any(levels > bound) or np.any(levels < -bound):
         raise ValueError(f"{name} plane has out-of-range amplitudes")
 
 

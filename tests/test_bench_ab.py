@@ -1,6 +1,7 @@
 """The summary that tools/bench_ab.py writes for each metric."""
 
 import importlib.util
+import json
 import pathlib
 import resource
 import subprocess
@@ -70,6 +71,51 @@ class TestJudge:
         # every pair won, by less than the parent's IQR
         assert self.judge(parent, [p - 0.05 for p in parent])["gain"] is False
         assert self.judge(parent, [p + 1.0 for p in parent], "higher")["gain"] is True
+
+
+class TestSetupDetail:
+    def fake_tree(self, tmp_path, details):
+        out = tmp_path / "perfbench" / "out"
+        out.mkdir(parents=True)
+        for workload, detail in details.items():
+            (out / f"{workload}.trace0.json").write_text(json.dumps(detail))
+        return str(tmp_path)
+
+    def test_reads_the_raw_setups_and_speed_factor(self, tmp_path):
+        tree = self.fake_tree(tmp_path, {"codec-sweep": {
+            "env": {}, "speed_factor": 0.93, "setup_s_as_measured": [0.5, 0.7, 0.6], "op_ms": [1.0]}})
+        assert bench_ab.setup_detail(tree, "codec-sweep") == {
+            "setup_s_as_measured": [0.5, 0.7, 0.6], "speed_factor": 0.93}
+        assert bench_ab.setup_detail(tree, "train-pinned") is None
+
+    def test_medians_skip_runs_without_a_file(self):
+        runs = [{"setup_s_as_measured": [0.5, 0.7, 0.6], "speed_factor": 1.1}, None,
+                {"setup_s_as_measured": [0.9, 0.8, 1.0], "speed_factor": 0.9}]
+        s = bench_ab.setup_summary(runs)
+        assert s["runs"] == runs
+        assert s["median"] == {"setup_s_as_measured": pytest.approx(0.75), "speed_factor": pytest.approx(1.0)}
+
+    def test_run_bench_records_the_detail_its_run_leaves(self, tmp_path, monkeypatch):
+        # a stand-in benchmark that writes the detail file only when asked to
+        (tmp_path / "bench.py").write_text(
+            "import json, os, sys\n"
+            "w = sys.argv[sys.argv.index('--workload') + 1]\n"
+            "if os.environ.get('WRITE_DETAIL'):\n"
+            "    with open(f'perfbench/out/{w}.trace0.json', 'w') as fh:\n"
+            "        json.dump({'speed_factor': 1.25, 'setup_s_as_measured': [0.25, 0.5, 0.75]}, fh)\n"
+            "print(json.dumps({'correct': True, 'attempted': 3, 'failed': 0,"
+            " 'metrics': {'setup_s': {'value': 0.625, 'unit': 's'}}}))\n")
+        tree = self.fake_tree(tmp_path, {})
+        bench = {"command": [sys.executable, "bench.py"], "run_seconds": 1}
+        monkeypatch.setenv("WRITE_DETAIL", "1")
+        r = bench_ab.run_bench(bench, tree, "w", 1, 0)
+        monkeypatch.delenv("WRITE_DETAIL")
+        assert r["setup"] == {"setup_s_as_measured": [0.25, 0.5, 0.75], "speed_factor": 1.25}
+        # the next run leaves no file: the last run's detail is not reused
+        assert bench_ab.run_bench(bench, tree, "w", 2, 0)["setup"] is None
+
+    def test_null_medians_when_no_run_has_a_file(self):
+        assert bench_ab.setup_summary([None, None])["median"] == {"setup_s_as_measured": None, "speed_factor": None}
 
 
 class TestRusageDelta:

@@ -155,6 +155,16 @@ class TestReferenceCodec:
         with pytest.raises(ValueError):
             codec.encode_image(np.zeros((8, 8)), 50, "4:4:4")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_pixel(self, value):
+        # NaN compares False with both rails, so the range check must not rely on `<`/`>`
+        img = np.full((8, 8, 3), 128.0)
+        img[3, 5, 1] = value
+        with pytest.raises(ValueError, match="outside"):
+            codec.encode_image(img, 50, "4:4:4")
+        with pytest.raises(ValueError, match="outside"):
+            codec.encode_batch(img.transpose(2, 0, 1)[None], 50, "4:4:4")
+
     def test_rejects_non_integer_quality(self):
         # quantizing with the qf-75.5 tables but storing qf 75 would mislabel the container
         img = np.full((16, 16, 3), 128.0)

@@ -1,5 +1,6 @@
 """PPM round trips, CIFAR record parsing, synthetic determinism, grids."""
 
+import hashlib
 import os
 import tempfile
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jpeggan import datasets
+from jpeggan.rng import RngStreams
 
 
 class TestPpm:
@@ -52,6 +54,15 @@ class TestPpm:
             datasets.read_ppm(short)
         with pytest.raises(ValueError):
             datasets.write_ppm(tmp_path / "o.ppm", np.full((2, 2, 3), 300.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_a_non_finite_pixel(self, tmp_path, value):
+        path = tmp_path / "n.ppm"
+        img = np.full((2, 2, 3), 100.0)
+        img[1, 0, 2] = value
+        with pytest.raises(ValueError, match="outside"):
+            datasets.write_ppm(path, img)
+        assert not path.exists()
 
     @pytest.mark.parametrize("shape, extent", [((0, 4, 3), "4x0"), ((4, 0, 3), "0x4")])
     def test_write_rejects_an_empty_extent(self, tmp_path, shape, extent):
@@ -153,6 +164,84 @@ def test_corrupt_cifar_bytes_still_load(edits):
     assert out.min() >= 0.0 and out.max() <= 255.0
 
 
+def _oracle_soft_disc(size, cy, cx, radius, sharpness):
+    yy, xx = np.mgrid[0:size, 0:size]
+    dist = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
+    return 1.0 / (1.0 + np.exp(np.clip((dist - radius) * sharpness, -30, 30)))
+
+
+def _oracle_image(gen, size):
+    """The corpus generator as first written: one image, one scalar draw at a time."""
+    yy, xx = np.mgrid[0:size, 0:size] / float(size)
+    img = np.empty((3, size, size))
+    top, bottom = gen.uniform(40, 215, size=(2, 3))
+    for c in range(3):
+        img[c] = top[c] + (bottom[c] - top[c]) * yy
+    ang = gen.uniform(0, 2 * np.pi)
+    ripple = gen.uniform(0, 25) * np.sin(
+        2 * np.pi * gen.uniform(0.5, 2.0) * (np.cos(ang) * xx + np.sin(ang) * yy)
+    )
+    img += ripple
+    for _ in range(int(gen.integers(2, 5))):
+        mask = _oracle_soft_disc(
+            size,
+            gen.uniform(0, size),
+            gen.uniform(0, size),
+            gen.uniform(size / 10, size / 3),
+            gen.uniform(0.8, 4.0),
+        )
+        color = gen.uniform(20, 235, size=3)
+        img = img * (1 - mask) + color[:, None, None] * mask
+    if gen.uniform() < 0.5:
+        row = int(gen.integers(size // 4, 3 * size // 4))
+        shade = gen.uniform(0.4, 0.9)
+        img[:, row:, :] *= shade
+    img += gen.normal(0, 1.5, size=img.shape)
+    return np.clip(img, 0, 255).astype(np.float32)
+
+
+def _oracle_dataset(seed, count, size):
+    streams = RngStreams(seed)
+    return np.stack([_oracle_image(streams.spawn("synthetic-image", i), size) for i in range(count)])
+
+
+class TestSyntheticBytes:
+    """The chunked corpus writes the bytes of the one-image-at-a-time generator."""
+
+    # (0, 1, 16) a lone image; (5, 65, 32) one image past a 64-image chunk
+    @pytest.mark.parametrize("seed, count, size", [(0, 1, 16), (5, 65, 32), (42, 130, 32), (3, 7, 48), (9, 4, 64)])
+    def test_matches_the_per_image_oracle(self, seed, count, size):
+        out = datasets.synthetic_dataset(seed, count, size)
+        assert out.dtype == np.float32
+        assert out.tobytes() == _oracle_dataset(seed, count, size).tobytes()
+
+    def test_synthetic_image_matches_the_oracle(self):
+        got = datasets.synthetic_image(np.random.default_rng(4), 32)
+        assert got.shape == (3, 32, 32) and got.dtype == np.float32
+        assert got.tobytes() == _oracle_image(np.random.default_rng(4), 32).tobytes()
+
+    @pytest.mark.parametrize("seed, count, size, digest", [
+        (0, 256, 32, "3e50594900926fd9d0ee94284550f9af66fcb09fdd5f84a126f11b48eed34943"),
+        (7, 1000, 32, "6155911da01d2f7ba29dda17109916b5fb5ce1e8ec61c989039f50412159e718"),
+        (3, 5, 64, "d39223037979cd51ad404dd52c3c01304b162411d959d87f37d3e4a3a074fcb9"),
+        (11, 3, 16, "54aaee5c39642388814154692e95160d113e3fa974160e802e80874961eba2f2"),
+    ])
+    def test_pinned_digests(self, seed, count, size, digest):
+        out = datasets.synthetic_dataset(seed, count, size)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("lo, hi", [
+        (40, 215), (0, 2 * np.pi), (0, 25), (0.5, 2.0), (0.8, 4.0), (20, 235), (0.4, 0.9),
+        *((lo, hi) for size in (16, 32, 48, 64) for lo, hi in ((0, size), (size / 10, size / 3))),
+    ])
+    def test_uniform_is_an_affine_map_of_random(self, lo, hi):
+        # the corpus rebuilds uniforms from blocks of doubles; a numpy release
+        # that changes `uniform`'s formula changes every image
+        a, b = np.random.default_rng(123), np.random.default_rng(123)
+        assert a.uniform(lo, hi, 4096).tobytes() == (lo + (hi - lo) * b.random(4096)).tobytes()
+        assert a.uniform(lo, hi) == lo + (hi - lo) * b.random()
+
+
 class TestSynthetic:
     def test_shape_range_dtype(self):
         out = datasets.synthetic_dataset(0, 4, size=32)
@@ -233,6 +322,14 @@ class TestSampleGrid:
         path = tmp_path / "grid.ppm"
         with pytest.raises(ValueError, match="column"):
             datasets.write_sample_grid(path, np.zeros((2, 3, 8, 8)), cols=cols)
+        assert not path.exists()
+
+    def test_rejects_a_nan_pixel(self, tmp_path):
+        path = tmp_path / "grid.ppm"
+        imgs = np.zeros((2, 3, 8, 8))
+        imgs[1, 0, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            datasets.write_sample_grid(path, imgs)
         assert not path.exists()
 
     def test_rejects_an_empty_batch(self, tmp_path):

@@ -9,7 +9,7 @@ frozen expected values.
 import numpy as np
 import pytest
 
-from jpeggan import jpeg
+from jpeggan import codec, jpeg
 
 
 # -- oracles ------------------------------------------------------------------
@@ -308,6 +308,64 @@ class TestEncodedImage:
         enc.y[0, 0, 0, 0] = 10_000
         with pytest.raises(ValueError):
             enc.validate()
+
+    @pytest.mark.parametrize("level", [2**62, -(2**63), 2**63 - 1])
+    def test_rejects_a_level_whose_amplitude_would_wrap(self, level):
+        # level * q wraps around in int64; the bound must hold without forming it
+        enc = self.make(qf=50)
+        enc.y[0, 0, 0, 0] = level
+        with pytest.raises(ValueError, match="y plane has out-of-range amplitudes"):
+            enc.validate()
+        with pytest.raises(ValueError, match="out-of-range amplitudes"):
+            codec.decode_image(enc)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64, np.int16, np.int32])
+    def test_amplitude_bound_holds_for_every_integer_dtype(self, dtype):
+        q = jpeg.quant_matrices(100)[0]  # all ones: every bound is 1032
+        levels = np.zeros((2, 8, 8), dtype=dtype)
+        jpeg.check_amplitudes("y", levels, q)
+        top = np.iinfo(dtype).max
+        levels[1, 4, 4] = min(top, 1032)
+        jpeg.check_amplitudes("y", levels, q)
+        levels[1, 4, 4] = top  # over the bound for every dtype wider than a byte
+        if top > 1032:
+            with pytest.raises(ValueError):
+                jpeg.check_amplitudes("y", levels, q)
+        if np.iinfo(dtype).min < 0:
+            levels[1, 4, 4] = -1032
+            jpeg.check_amplitudes("y", levels, q)
+            levels[1, 4, 4] = -1033
+            with pytest.raises(ValueError):
+                jpeg.check_amplitudes("y", levels, q)
+
+    @pytest.mark.parametrize("qf", range(1, 101))
+    def test_amplitude_bound_agrees_with_the_product_rule(self, qf):
+        """On levels in [-5000, 5000] the bound accepts exactly what
+        |level * q| <= 1024 + 8 q accepts, for both tables.
+
+        The product rule accepts a symmetric interval [-a, a] at each
+        position, so agreement is checked at both ends of it and one past
+        them, one position at a time.
+        """
+        levels = np.arange(-5000, 5001)[:, None, None]
+
+        def accepts(plane, q):
+            try:
+                jpeg.check_amplitudes("y", plane, q)
+            except ValueError:
+                return False
+            return True
+
+        for q in jpeg.quant_matrices(qf):
+            ok = np.abs(levels * q) <= 1024 + 8 * q
+            a = ok.sum(axis=0) // 2
+            assert np.array_equal(ok, np.abs(levels) <= a)  # an interval about zero
+            assert accepts(a, q) and accepts(-a, q)
+            for pos in np.ndindex(8, 8):
+                for sign in (1, -1):
+                    plane = sign * a.copy()
+                    plane[pos] += sign
+                    assert not accepts(plane, q), (qf, pos, sign)
 
     @pytest.mark.parametrize("attr", ["width", "height"])
     def test_rejects_zero_extent(self, attr):

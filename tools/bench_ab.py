@@ -13,7 +13,12 @@ workload and end-to-end metric, each pair's values, each side's median and
 quartiles, the pairs the change won, and the verdict of `judge`; per
 workload and side, each run's minor page faults and system CPU seconds,
 read as `RUSAGE_CHILDREN` deltas around the benchmark process, and their
-medians. It also holds the line count of each side's `src/` Python files
+medians; and per workload and side, each run's raw set-up times and speed
+factor, read from the `perfbench/out/<workload>.trace0.json` file the run
+leaves behind (null where it leaves none), and their medians. Since
+`setup_s` is the median raw set-up times the speed factor, these tell a
+`setup_s` verdict that comes from set-up spread from one that comes from
+host drift. It also holds the line count of each side's `src/` Python files
 and their difference.
 """
 
@@ -83,6 +88,35 @@ def rusage_delta(before, after) -> dict:
     return {"minflt": after.ru_minflt - before.ru_minflt, "stime_s": after.ru_stime - before.ru_stime}
 
 
+def trace0_path(tree: str, workload: str) -> str:
+    return os.path.join(tree, "perfbench", "out", f"{workload}.trace0.json")
+
+
+def setup_detail(tree: str, workload: str) -> dict | None:
+    """The raw set-up times and speed factor of the last `--trace 0` run of
+    `workload` in `tree`; None when that run left no detail file."""
+    try:
+        with open(trace0_path(tree, workload)) as fh:
+            detail = json.load(fh)
+    except FileNotFoundError:
+        return None
+    return {"setup_s_as_measured": detail["setup_s_as_measured"], "speed_factor": detail["speed_factor"]}
+
+
+def setup_summary(details: list) -> dict:
+    """Each run's `setup_detail` and, over the runs that have one, the median
+    of each run's median raw set-up and the median speed factor (null when
+    no run has one)."""
+    have = [d for d in details if d is not None]
+
+    def median(values):
+        return statistics.median(values) if have else None
+
+    return {"runs": details,
+            "median": {"setup_s_as_measured": median([statistics.median(d["setup_s_as_measured"]) for d in have]),
+                       "speed_factor": median([d["speed_factor"] for d in have])}}
+
+
 def src_lines(tree: str) -> int:
     """Lines (newline characters, as `wc -l` counts them) in the `.py` files under `tree`/src."""
     total = 0
@@ -107,6 +141,8 @@ def run_bench(bench: dict, tree: str, workload: str, seed: int, trace: int) -> d
     """One benchmark run in `tree`; its result is the last line of standard output."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(seed),
                               "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
+    if trace == 0 and os.path.exists(trace0_path(tree, workload)):
+        os.remove(trace0_path(tree, workload))  # a failed run must not leave the last run's detail
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     usage = rusage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
@@ -115,7 +151,8 @@ def run_bench(bench: dict, tree: str, workload: str, seed: int, trace: int) -> d
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}, "rusage": usage}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}, "rusage": usage,
+            "setup": setup_detail(tree, workload) if trace == 0 else None}
 
 
 def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
@@ -143,6 +180,7 @@ def compare(bench: dict, trees: dict, seeds: list[int]) -> dict:
             "rusage": {s: {k: {"runs": [r["rusage"][k] for r in sides[s]],
                                "median": statistics.median(r["rusage"][k] for r in sides[s])}
                            for k in ("minflt", "stime_s")} for s in sides},
+            "setup": {s: setup_summary([r["setup"] for r in sides[s]]) for s in sides},
             "metrics": metrics,
         }
     return out
