@@ -2,7 +2,11 @@
 
 `encode_batch` / `decode_batch` are the plain-numpy reference codec used for
 real data, oracles, and the CLI. Each runs its pipeline once over a whole
-batch of same-sized images; `encode_image`, `decode_image` and
+batch of same-sized images, on channel-planar (3, N, H, W) memory: the color
+transform is one (3, 3) @ (3, N*H*W) GEMM, which rounds exactly as
+`jpeg.rgb_to_ycbcr` / `ycbcr_to_rgb` do on pixel-interleaved rows (an
+elementwise multiply-add would not), and each plane is contiguous for
+subsampling and blocking. `encode_image`, `decode_image` and
 `decode_samples` are one-image wrappers around them. `decode_planes` is the
 same decode pipeline expressed in differentiable tensor ops so gradients can
 flow from pixel-space losses back into coefficient-space generators:
@@ -53,18 +57,18 @@ def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[Enc
     if not (imgs.min() >= 0.0 and imgs.max() <= 255.0):  # NaN fails both
         raise ValueError("pixel values outside [0, 255]")
     fv, fh = jpeg.mode_factors(mode)
-    rgb = imgs.transpose(0, 2, 3, 1)  # the color transform works on (..., 3)
-    ph, pw = -rgb.shape[1] % (8 * fv), -rgb.shape[2] % (8 * fh)
+    ph, pw = -imgs.shape[2] % (8 * fv), -imgs.shape[3] % (8 * fh)
     if ph or pw:
-        rgb = np.pad(rgb, ((0, 0), (0, ph), (0, pw), (0, 0)), mode="edge")
-    h, w = rgb.shape[1:3]
+        imgs = np.pad(imgs, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
+    n, _, h, w = imgs.shape
 
-    ycc = jpeg.rgb_to_ycbcr(rgb)
+    planar = imgs.transpose(1, 0, 2, 3).reshape(3, -1)  # one channel-planar copy
+    ycc = (jpeg._RGB_TO_YCBCR @ planar + jpeg._YCBCR_OFFSET[:, None]).reshape(3, n, h, w)
     ql, qc = jpeg.quant_matrices(quality_factor)
     planes = (
-        (ycc[..., 0], ql),
-        (jpeg.subsample(ycc[..., 1], mode), qc),
-        (jpeg.subsample(ycc[..., 2], mode), qc),
+        (ycc[0], ql),
+        (jpeg.subsample(ycc[1], mode), qc),
+        (jpeg.subsample(ycc[2], mode), qc),
     )
     y, cb, cr = (
         jpeg.quantize(jpeg.dct8x8(jpeg.blockify(plane - 128.0)), q) for plane, q in planes
@@ -99,16 +103,22 @@ def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
     """Reference decoder: containers that share extents, quality factor and
     mode -> (N, 3, H, W) float pixels in [0, 255].
 
-    The result is a view of pixel-interleaved (N, H, W, 3) memory.
+    The result is a view of channel-planar (3, N, H, W) memory.
     `fid.pixel_features` copies it to contiguous NCHW memory before it
     sums, so the sweep's distances do not depend on this layout.
     """
     encs = list(encs)
     y, cb, cr = _decode_samples(encs)
-    mode = encs[0].mode
-    ycc = np.stack([y, jpeg.upsample(cb, mode), jpeg.upsample(cr, mode)], axis=-1)
-    rgb = np.clip(jpeg.ycbcr_to_rgb(ycc), 0.0, 255.0)
-    return rgb.transpose(0, 3, 1, 2)
+    fv, fh = jpeg.mode_factors(encs[0].mode)
+    n, h, w = y.shape
+    ycc = np.empty((3, n, h, w))
+    ycc[0] = y
+    for plane, chroma in zip(ycc[1:], (cb, cr)):  # nearest-neighbor upsample
+        plane.reshape(n, h // fv, fv, w)[...] = np.repeat(chroma, fh, axis=-1)[:, :, None]
+    m, off = jpeg.ycbcr_to_rgb_matrix()
+    rgb = m @ ycc.reshape(3, -1)
+    rgb += off[:, None]
+    return np.clip(rgb, 0.0, 255.0, out=rgb).reshape(3, n, h, w).transpose(1, 0, 2, 3)
 
 
 def encode_image(rgb: np.ndarray, quality_factor: int, mode: str) -> EncodedImage:

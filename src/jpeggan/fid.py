@@ -3,16 +3,18 @@
 The distance is computed between Gaussians fitted to feature vectors:
 ``d = |mu_a - mu_b|^2 + tr(Ca + Cb - 2 (Ca^1/2 Cb Ca^1/2)^1/2)``.
 Moments accumulate in O(d^2) memory, so feature sets never need to be
-held in full.
+held in full. A `FidStats` keeps its covariance's square root until its next
+`update`, so a sweep takes its reference's root once.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 
 import numpy as np
 
-from . import codec
+from . import codec, jpeg
 
 __all__ = [
     "FidStats",
@@ -51,6 +53,7 @@ class FidStats:
         self.count += feats.shape[0]
         self._sum += feats.sum(axis=0)
         self._outer += feats.T @ feats
+        self.__dict__.pop("_covariance_root", None)  # drop the kept root
 
     @property
     def mean(self) -> np.ndarray:
@@ -65,6 +68,10 @@ class FidStats:
         mu = self.mean
         cov = (self._outer - self.count * np.outer(mu, mu)) / (self.count - 1)
         return (cov + cov.T) / 2.0  # kill accumulation asymmetry
+
+    @cached_property
+    def _covariance_root(self) -> np.ndarray:
+        return _psd_sqrt(self.covariance)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -85,9 +92,13 @@ def frechet_from_moments(
     mean_b = np.atleast_1d(np.asarray(mean_b, dtype=np.float64))
     cov_a = np.atleast_2d(np.asarray(cov_a, dtype=np.float64))
     cov_b = np.atleast_2d(np.asarray(cov_b, dtype=np.float64))
+    return _frechet(mean_a, cov_a, _psd_sqrt(cov_a), mean_b, cov_b)
+
+
+def _frechet(mean_a, cov_a, root_a, mean_b, cov_b) -> float:
+    """The distance from float64 moments; `root_a` is cov_a^1/2."""
     if mean_a.shape != mean_b.shape or cov_a.shape != cov_b.shape:
         raise ValueError("moment shapes disagree")
-    root_a = _psd_sqrt(cov_a)
     cross = _psd_sqrt(root_a @ cov_b @ root_a)
     diff = mean_a - mean_b
     positive = float(diff @ diff + np.trace(cov_a) + np.trace(cov_b))
@@ -102,9 +113,8 @@ def frechet_from_moments(
 
 
 def frechet_distance(stats_a: FidStats, stats_b: FidStats) -> float:
-    return frechet_from_moments(
-        stats_a.mean, stats_a.covariance, stats_b.mean, stats_b.covariance
-    )
+    return _frechet(stats_a.mean, stats_a.covariance, stats_a._covariance_root,
+                    stats_b.mean, stats_b.covariance)
 
 
 def pixel_features(images: np.ndarray) -> np.ndarray:
@@ -141,19 +151,26 @@ def compression_sweep(
     the given order. Images pass through the codec and `extractor`
     `_SWEEP_CHUNK` at a time, which bounds the memory a setting needs.
     """
+    modes = list(modes)
+    settings = [(qf, mode) for qf in quality_factors for mode in modes]
+    # every setting is checked before any codec work, without `quant_matrices`:
+    # perfbench's repeat check expects the same number of its calls per setting
+    for qf, mode in settings:
+        if not jpeg._is_quality_factor(qf):
+            raise ValueError(f"quality factor {qf} is not an integer in 1..100")
+        jpeg.mode_factors(mode)
     images = np.asarray(images, dtype=np.float64)
     reference = FidStats.from_features(extractor(images))
     n, _, h, w = images.shape
     rows = []
-    for qf in quality_factors:
-        for mode in modes:
-            feats = []
-            for start in range(0, n, _SWEEP_CHUNK):
-                chunk = images[start : start + _SWEEP_CHUNK]
-                degraded = codec.decode_batch(codec.encode_batch(chunk, qf, mode))
-                feats.append(extractor(degraded[:, :, :h, :w]))
-            stats = FidStats.from_features(np.concatenate(feats))
-            rows.append((int(qf), str(mode), frechet_distance(reference, stats)))
+    for qf, mode in settings:
+        feats = []
+        for start in range(0, n, _SWEEP_CHUNK):
+            chunk = images[start : start + _SWEEP_CHUNK]
+            degraded = codec.decode_batch(codec.encode_batch(chunk, qf, mode))
+            feats.append(extractor(degraded[:, :, :h, :w]))
+        stats = FidStats.from_features(np.concatenate(feats))
+        rows.append((int(qf), str(mode), frechet_distance(reference, stats)))
     return rows
 
 

@@ -19,7 +19,7 @@ Conventions fixed across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -219,15 +219,18 @@ def mode_factors(mode: str) -> tuple[int, int]:
 
 
 def subsample(plane: np.ndarray, mode: str) -> np.ndarray:
-    """Block-mean chroma reduction of the trailing (H, W) axes."""
+    """Block-mean chroma reduction of the trailing (H, W) axes (4:4:4 returns
+    the plane). Strided slices are summed within each block row, then across
+    rows, as `tensor.avg_pool2d` does: numpy's block-mean order, bit for bit."""
     fv, fh = mode_factors(mode)
     p = np.asarray(plane, dtype=np.float64)
-    if fv == fh == 1:
-        return p.copy()
-    *lead, h, w = p.shape
+    h, w = p.shape[-2:]
     if h % fv or w % fh:
         raise ValueError(f"{h}x{w} plane not divisible by {fv}x{fh}")
-    return p.reshape(*lead, h // fv, fv, w // fh, fh).mean(axis=(-3, -1))
+    if fv == fh == 1:
+        return p
+    rows = [reduce(np.add, [p[..., i::fv, j::fh] for j in range(fh)]) for i in range(fv)]
+    return reduce(np.add, rows) / (fv * fh)
 
 
 def upsample(plane: np.ndarray, mode: str) -> np.ndarray:
@@ -314,6 +317,8 @@ class EncodedImage:
             raise ValueError(f"bad mode {self.mode!r}")
         if not _is_quality_factor(self.quality_factor):
             raise ValueError(f"bad quality factor {self.quality_factor}")
+        if not all(isinstance(e, (int, np.integer)) for e in (self.width, self.height)):
+            raise ValueError(f"extents {self.width}x{self.height} must be integers")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"extents {self.width}x{self.height} must be positive")
         fv, fh = mode_factors(self.mode)

@@ -133,7 +133,7 @@ class LocallyConnected(Module):
 class ChromaSubsample:
     """Block-mean downsampling by the subsampling mode's factors.
 
-    Arithmetic is the same reduction the codec's plane subsampler performs,
+    `T.avg_pool2d` and `jpeg.subsample` sum in the same order by construction,
     so the learned path and the reference path see identical values.
     """
 

@@ -1,6 +1,7 @@
 """Codec round-trip properties and reference/differentiable agreement."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -126,6 +127,52 @@ class TestBatchedCodec:
             )
             stats = fid.FidStats.from_features(fid.pixel_features(degraded))
             assert dist == fid.frechet_distance(reference, stats)
+
+
+def digest(x):
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
+
+
+class TestPinnedBits:
+    """Quantizer levels, decoded pixels and sweep distances, pinned by sha256
+    before the codec moved to channel-planar memory."""
+
+    @pytest.mark.parametrize(
+        "qf, mode, levels_digest, pixels_digest",
+        [
+            (
+                75,
+                "4:2:0",
+                "7bf998210217df57c45fff286fd28dcc1d76160bd1dae182821b0f4570f2bb08",
+                "dacdd9d6a272a64cf914c3d85ff18cd3571df3335cfbd8fbf08b17747e1a1cf3",
+            ),
+            (
+                25,
+                "4:2:2",
+                "fb9a96130eb36dd6f65bda9276fa00508b65310de020fa38134c691098740d12",
+                "c21548438f82a0d55570f25a3b81c7d4c3d35d83ca84afb92a189eff9bfd03ec",
+            ),
+            (
+                100,
+                "4:4:4",
+                "37598c77b0674d744331786f49548b01a35f586f182f1d7749301d097e81c102",
+                "278b24e35e58035b901bc033dc2c0fae13e4186dfc27a96a78282ce0cd9ffe6b",
+            ),
+        ],
+    )
+    def test_levels_and_pixels(self, corpus, qf, mode, levels_digest, pixels_digest):
+        encs = codec.encode_batch(corpus, qf, mode)
+        levels = np.concatenate([np.concatenate([e.y.ravel(), e.cb.ravel(), e.cr.ravel()]) for e in encs])
+        assert digest(levels.astype(np.int64)) == levels_digest
+        pixels = codec.decode_batch(encs)
+        assert pixels.shape == corpus.shape and pixels.dtype == np.float64
+        assert digest(pixels) == pixels_digest
+
+    def test_sweep_distances(self):
+        images = datasets.synthetic_dataset(44, 300, 32).astype(np.float64)
+        rows = fid.compression_sweep(images, [100, 75, 50, 25], jpeg.MODES)
+        distances = np.array([d for _, _, d in rows], dtype=np.float64)
+        assert digest(distances) == "95ba3af8439051167113ca7d1abc4b8d6592bd536a5ba0824031e4c4be94b180"
 
 
 class TestReferenceCodec:

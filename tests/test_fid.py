@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jpeggan import fid
+from jpeggan import codec, fid
 
 
 def gaussian_features(rng, n, mean, cov_chol):
@@ -100,6 +100,32 @@ class TestStats:
         )
         assert d < 0.01
 
+    def test_update_after_a_distance_drops_the_kept_root(self):
+        rng = np.random.default_rng(12)
+        first, second = rng.normal(size=(40, 4)), rng.normal(2.0, 3.0, size=(30, 4))
+        other = fid.FidStats.from_features(rng.normal(size=(50, 4)))
+        stats = fid.FidStats.from_features(first)
+        before = fid.frechet_distance(stats, other)
+        stats.update(second)
+        fresh = fid.FidStats(4)  # the same features, accumulated the same way
+        fresh.update(first)
+        fresh.update(second)
+        after = fid.frechet_distance(stats, other)
+        assert after != before
+        assert after == fid.frechet_distance(fresh, other)
+        batch = fid.FidStats.from_features(np.concatenate([first, second]))
+        assert after == pytest.approx(fid.frechet_distance(batch, other), rel=1e-12)
+
+    def test_kept_root_gives_the_moments_distance(self):
+        rng = np.random.default_rng(13)
+        a = fid.FidStats.from_features(rng.normal(size=(60, 5)))
+        b = fid.FidStats.from_features(rng.normal(1.0, 2.0, size=(60, 5)))
+        want = fid.frechet_from_moments(a.mean, a.covariance, b.mean, b.covariance)
+        assert fid.frechet_distance(a, b) == want
+        assert fid.frechet_distance(a, b) == want  # second call reuses a's root
+        with pytest.raises(ValueError, match="shapes"):
+            fid.frechet_distance(a, fid.FidStats.from_features(rng.normal(size=(9, 4))))
+
     def test_guards(self):
         s = fid.FidStats(3)
         with pytest.raises(ValueError):
@@ -164,6 +190,21 @@ class TestExtractorsAndSweep:
         # heavier quantization hurts more, in both axes of the grid
         assert rows[2][2] > rows[0][2]
         assert rows[3][2] > rows[2][2]
+
+    @pytest.mark.parametrize(
+        "qfs, modes",
+        [([100, 75, 50, 0], ["4:4:4", "4:2:0"]), ([75, 50], ["4:2:0", "4:1:1"]), ([101], ["4:4:4"])],
+    )
+    def test_sweep_checks_every_setting_before_coding(self, monkeypatch, qfs, modes):
+        calls = []
+        real = codec.encode_batch
+        monkeypatch.setattr(codec, "encode_batch", lambda *a: calls.append(a) or real(*a))
+        images = np.random.default_rng(14).uniform(0, 255, size=(4, 3, 16, 16))
+        with pytest.raises(ValueError):
+            fid.compression_sweep(images, qfs, modes)
+        assert calls == []
+        fid.compression_sweep(images, iter([75]), iter(["4:2:0"]))  # iterables are read once
+        assert len(calls) == 1
 
     def test_sweep_csv(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -253,6 +253,20 @@ class TestErrors:
         with pytest.raises(ValueError, match=match):
             jfif.decode_jfif(data)
 
+    @pytest.mark.parametrize("extent", [32.0, np.float64(32.0)], ids=["float", "float64"])
+    def test_float_extent_is_a_value_error(self, extent):
+        enc = random_encoded(np.random.default_rng(2))
+        enc.width = extent
+        with pytest.raises(ValueError, match="integers"):
+            jfif.encode_jfif(enc)
+
+    def test_numpy_integer_extents_encode(self):
+        enc = random_encoded(np.random.default_rng(2), mode="4:2:0")
+        want = jfif.encode_jfif(enc)
+        enc.width, enc.height = np.int64(enc.width), np.int32(enc.height)
+        assert jfif.encode_jfif(enc) == want
+        assert_same(jfif.decode_jfif(want), enc)
+
     def test_out_of_range_amplitudes_name_the_scan(self):
         # a DC level in range at qf 95 but not under qf 50's coarser tables
         enc = random_encoded(np.random.default_rng(19), qf=95)

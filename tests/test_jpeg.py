@@ -240,6 +240,22 @@ class TestSubsample:
         with pytest.raises(ValueError):
             jpeg.subsample(np.zeros((3, 8)), "4:2:0")
 
+    @pytest.mark.parametrize("mode", ["4:2:0", "4:2:2"])
+    def test_equals_block_mean_bit_for_bit(self, mode):
+        fv, fh = jpeg.mode_factors(mode)
+        rng = np.random.default_rng(11)
+        ycc = rng.uniform(0, 255, size=(4, 2, 16, 24, 3))  # pixel-interleaved
+        planar = np.ascontiguousarray(np.moveaxis(ycc, -1, 0))
+        for plane in (ycc[..., 1], planar[1], planar[2, 3], ycc[0, 0, ..., 2]):
+            *lead, h, w = plane.shape
+            want = plane.reshape(*lead, h // fv, fv, w // fh, fh).mean(axis=(-3, -1))
+            got = jpeg.subsample(plane, mode)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_full_resolution_keeps_the_plane(self):
+        p = np.arange(64.0).reshape(8, 8)
+        assert jpeg.subsample(p, "4:4:4") is p
+
 
 # -- zig-zag ------------------------------------------------------------------------
 
@@ -296,6 +312,14 @@ class TestEncodedImage:
         enc.cb = enc.y.copy()
         with pytest.raises(ValueError):
             enc.validate()
+
+    @pytest.mark.parametrize("extent", [16.0, np.float64(16.0)], ids=["float", "float64"])
+    def test_rejects_float_extents(self, extent):
+        for name in ("width", "height"):
+            enc = self.make()
+            setattr(enc, name, extent * (2 if name == "width" else 1))
+            with pytest.raises(ValueError, match="integers"):
+                enc.validate()
 
     def test_rejects_float_levels(self):
         enc = self.make()
