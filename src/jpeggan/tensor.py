@@ -30,6 +30,15 @@ Dtype rule: a float32 or float64 ndarray keeps its dtype and is not copied;
 anything else becomes float64.  Ops compute in their operands' dtype, so an
 f32 graph stays f32.
 
+Ops that can turn finite inputs into NaN or inf screen their output with
+one BLAS pass, the sum of squares over its memory in order; only a
+non-finite sum (NaN, inf, or a finite output whose squares overflow) runs
+the exact elementwise scan that decides whether to raise
+``NonFiniteError``.  The resampling ops write each output once:
+``avg_pool2d`` sums column slices, then row slices, and divides in place;
+``upsample_repeat2d`` widens rows, then copies them.  The pooling adjoint
+applies its 1/(kh*kw) scale at the pooled size, before upsampling.
+
 Execution is single-threaded and serial; given the same seed and op
 sequence, results are bit-identical.  Tensors are immutable once created,
 apart from in-place parameter updates performed by an optimizer between
@@ -50,6 +59,7 @@ escape hatch where a broadcast is genuinely wanted (bias addition).
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextlib import contextmanager
 from functools import reduce
@@ -100,16 +110,32 @@ def no_grad():
     return _grad_mode(False)
 
 
+def _flat_view(data: np.ndarray) -> np.ndarray | None:
+    """`data` as one 1-D view in memory order (what `ravel(order="K")` gives
+    without a copy), or None when its elements are not one dense run."""
+    if not data.flags.c_contiguous:
+        data = data.transpose(sorted(range(data.ndim), key=data.strides.__getitem__, reverse=True))
+        if not data.flags.c_contiguous:
+            return None
+    return data.reshape(-1)
+
+
 def _finite_or_raise(data: np.ndarray, op: str) -> None:
-    # One cheap reduction; only on suspicion do the exact elementwise scan.
-    # A native-dtype sum can overflow on legitimate inputs, so a non-finite
-    # screen is a suspicion, not a verdict.
+    # One BLAS pass over the output: its sum of squares is NaN or inf if any
+    # element is, so a finite sum clears it. A non-finite sum is only a
+    # suspicion (a finite output can overflow it), settled by the exact
+    # elementwise scan. BLAS raises no numpy warning on overflow; the
+    # fallback sum over a non-dense output is silenced to match.
     if data.dtype.kind != "f":
         return
-    s = data.sum() if data.size else 0.0
-    if not np.isfinite(s):
-        if not np.isfinite(data).all():
-            raise NonFiniteError(f"op '{op}' produced a non-finite value")
+    flat = _flat_view(data)
+    if flat is not None:
+        s = np.vdot(flat, flat)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = data.sum()
+    if not math.isfinite(s) and not np.isfinite(data).all():
+        raise NonFiniteError(f"op '{op}' produced a non-finite value")
 
 
 class Tensor:
@@ -614,31 +640,58 @@ def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int, padding: int | tuple[i
     return _result(d_w.reshape(O, C, kh, kw), "conv2d_weight", (x, g), bw)
 
 
+def _check_factors(op: str, kh: int, kw: int) -> None:
+    if kh < 1 or kw < 1:
+        raise ShapeError(f"{op}: factors {kh}x{kw} must both be at least 1")
+
+
 def avg_pool2d(a: Tensor, kh: int, kw: int) -> Tensor:
     """Non-overlapping block-mean pooling; extents must divide evenly.
 
-    Strided slices are summed within each block row, then across rows: for
-    2x2, 1x2 and 2x1 blocks that is numpy's block-mean order, bit for bit.
+    The kw strided column slices are summed over all rows, then the kh
+    strided row slices of that: each block's row sums, then their sum, the
+    same grouping as summing within each block row first. For 2x2, 1x2 and
+    2x1 blocks that is numpy's block-mean order, bit for bit. The sums are
+    divided in place; the output never aliases the input. The backward
+    scales the pooled-size gradient by 1/(kh*kw) before upsampling it.
     """
     if a.ndim != 4:
         raise ShapeError("avg_pool2d expects NCHW")
+    _check_factors("avg_pool2d", kh, kw)
     N, C, H, W = a.shape
     if H % kh or W % kw:
         raise ShapeError(f"pool {kh}x{kw} does not tile {H}x{W}")
-    rows = [reduce(np.add, [a.data[:, :, i::kh, j::kw] for j in range(kw)]) for i in range(kh)]
-    data = reduce(np.add, rows) / (kh * kw)
+    cols = reduce(np.add, [a.data[..., j::kw] for j in range(kw)])
+    data = reduce(np.add, [cols[..., i::kh, :] for i in range(kh)])
+    if data.flags.owndata:
+        data /= kh * kw
+    else:  # a 1x1 pool sums nothing: `data` is a view of the input
+        data = data / (kh * kw)
 
     def bw(g):
-        return (scalar_mul(upsample_repeat2d(g, kh, kw), 1.0 / (kh * kw)),)
+        return (upsample_repeat2d(scalar_mul(g, 1.0 / (kh * kw)), kh, kw),)
 
     return _result(data, "avg_pool2d", (a,), bw)
 
 
 def upsample_repeat2d(a: Tensor, kh: int, kw: int) -> Tensor:
-    """Nearest-neighbor upsampling: each pixel becomes a kh x kw block."""
+    """Nearest-neighbor upsampling: each pixel becomes a kh x kw block.
+
+    The input is written kw times, strided, into the widened rows (faster
+    than `np.repeat` along the last axis on every network shape), and each
+    widened row is then copied kh times; the output is a new C-contiguous
+    array.
+    """
     if a.ndim != 4:
         raise ShapeError("upsample expects NCHW")
-    data = np.repeat(np.repeat(a.data, kh, axis=2), kw, axis=3)
+    _check_factors("upsample_repeat2d", kh, kw)
+    N, C, H, W = a.shape
+    wide = np.empty((N, C, H, W, kw), a.data.dtype)
+    for j in range(kw):
+        wide[..., j] = a.data
+    data = wide.reshape(N, C, H, W * kw)
+    if kh > 1:
+        data = np.repeat(data, kh, axis=2)
 
     def bw(g):
         return (scalar_mul(avg_pool2d(g, kh, kw), float(kh * kw)),)

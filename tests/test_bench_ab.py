@@ -144,3 +144,27 @@ class TestSrcLines:
 
     def test_tree_without_src_has_none(self, tmp_path):
         assert bench_ab.src_lines(str(tmp_path)) == 0
+
+
+class TestVerdictLines:
+    def metric(self, parent, change, better="lower", bound=0.2):
+        s = bench_ab.summarize(parent, change, better)
+        return {**s, **bench_ab.judge(s, bound)}
+
+    def test_one_line_per_workload_and_metric(self):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]
+        workloads = {
+            "train": {"metrics": {"op_ms.p50": self.metric(parent, [p - 1.0 for p in parent]),
+                                  "items_per_s": self.metric([4.0, 4.0], [2.0, 2.0], "higher")}},
+            "sweep": {"metrics": {"op_ms.p50": self.metric([5.0, 10.0, 15.0, 8.0, 12.0],
+                                                           [30.0, 10.0, 11.0, 9.0, 10.0])}},
+        }
+        assert bench_ab.verdict_lines(workloads) == [
+            "train op_ms.p50: 10 -> 9 (-10.0 %), won 10/10, ok, gain yes",
+            "train items_per_s: 4 -> 2 (-50.0 %), won 0/2, worse, gain no",
+            "sweep op_ms.p50: 10 -> 10 (+0.0 %), won 2/5, unresolved, gain no",
+        ]
+
+    def test_zero_parent_median_has_no_relative_change(self):
+        line = bench_ab.verdict_lines({"w": {"metrics": {"m": self.metric([0.0, 0.0], [0.0, 0.0])}}})[0]
+        assert line == "w m: 0 -> 0, won 0/2, ok, gain no"

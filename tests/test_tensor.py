@@ -7,12 +7,13 @@ finite-difference check THROUGH a differentiated gradient (double backward).
 """
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from jpeggan import codec, layers, networks
+from jpeggan import codec, jpeg, layers, networks
 from jpeggan import tensor as T
 from jpeggan.tensor import Tensor
 
@@ -918,3 +919,129 @@ class TestDtypes:
         ggW, ggb, ggx = T.grad(T.sum_all(T.mul(gx, gx)), [W, b, x])
         for t in (y, gx, gW, gb, ggW, ggb, ggx):
             assert t.dtype == np.float32
+
+
+def _conv_copy(x):
+    """conv2d of a one-channel x with two unit 1x1 kernels: output channel o
+    is x itself, returned as conv2d's transposed (CNHW-memory) view."""
+    return T.conv2d(x, Tensor(np.ones((2, 1, 1, 1), dtype=x.dtype)))
+
+
+class TestNonFiniteScreen:
+    """Every screened op raises on a NaN or inf anywhere in its output, and
+    lets a finite output through silently, however large."""
+
+    OPS = {
+        "conv2d": _conv_copy,
+        "avg_pool2d": lambda x: T.avg_pool2d(x, 2, 2),
+        "add": lambda x: T.add(x, Tensor(np.zeros(x.shape, dtype=x.dtype))),
+        "mul": lambda x: T.mul(x, Tensor(np.ones(x.shape, dtype=x.dtype))),
+        "scalar_mul": lambda x: T.scalar_mul(x, 1.0),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_raises_naming_the_op(self, op, where, bad, dtype):
+        x = np.random.default_rng(60).normal(size=(3, 1, 4, 6)).astype(dtype)
+        flat = x.reshape(-1)
+        flat[{"first": 0, "middle": flat.size // 2, "last": flat.size - 1}[where]] = bad
+        with pytest.raises(T.NonFiniteError, match=f"'{op}'"):
+            self.OPS[op](Tensor(x))
+
+    def test_conv2d_output_is_a_transposed_view(self):
+        out = _conv_copy(Tensor(np.ones((3, 1, 4, 6)))).data
+        assert not out.flags.c_contiguous and not out.flags.f_contiguous
+        assert T._flat_view(out) is not None and np.shares_memory(T._flat_view(out), out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_contiguous_input(self, where, dtype):
+        x = np.ones((4, 10), dtype=dtype)
+        view = x[:, ::2]
+        view[{"first": (0, 0), "middle": (2, 2), "last": (3, 4)}[where]] = np.nan
+        assert not view.flags.c_contiguous
+        with pytest.raises(T.NonFiniteError, match="'scalar_mul'"):
+            T.scalar_mul(Tensor(view), 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_dense_output_falls_back_to_the_sum(self, bad, dtype):
+        # no op returns such an array today; the screen must still see it
+        for view in (lambda a: a[:, ::2], lambda a: a[::-1], lambda a: np.broadcast_to(a[:1], (3, 6))):
+            data = np.ones((3, 6), dtype=dtype)
+            assert T._flat_view(view(data)) is None
+            T._finite_or_raise(view(data), "probe")
+            data[0, 4] = bad
+            with pytest.raises(T.NonFiniteError, match="'probe'"):
+                T._finite_or_raise(view(data), "probe")
+
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1e30), (np.float64, 1e200)])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_large_finite_output_passes_silently(self, op, dtype, big):
+        x = np.full((3, 1, 4, 6), big, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.OPS[op](Tensor(x)).data
+            T._finite_or_raise(out[:, :, ::2], "probe")  # and the fallback sum
+        assert np.isfinite(out).all() and out.max() == big
+
+    def test_near_overflow_f32_output_passes_silently(self):
+        x = Tensor(np.full(4, 3e38, np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert T.scalar_mul(x, 1.0).data.tobytes() == x.data.tobytes()
+            T._finite_or_raise(np.full((4, 4), 3e38, np.float32)[:, ::2], "probe")  # the fallback sum overflows
+
+
+class TestResampling:
+    FACTORS = [(1, 1), (2, 2), (1, 2), (2, 1), (3, 2)]
+
+    def inputs(self):
+        x = np.random.default_rng(61).normal(size=(2, 3, 6, 4))
+        cnhw = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        return [x, cnhw, np.broadcast_to(x[:1], x.shape)]  # the last one read-only
+
+    @pytest.mark.parametrize("kh, kw", FACTORS)
+    @pytest.mark.parametrize("op", ["avg_pool2d", "upsample_repeat2d"])
+    def test_never_writes_or_aliases_the_input(self, op, kh, kw):
+        for x in self.inputs():
+            x.flags.writeable = False
+            before = x.copy()
+            out = getattr(T, op)(Tensor(x), kh, kw).data
+            assert not np.shares_memory(out, x)
+            assert np.array_equal(x, before)
+            assert out.flags.writeable
+            assert out.flags.c_contiguous or op == "avg_pool2d"  # pooling keeps the input's layout
+
+    @pytest.mark.parametrize("kh, kw", FACTORS)
+    def test_values(self, kh, kw):
+        for x in self.inputs():
+            up = np.kron(x, np.ones((kh, kw)))
+            assert np.array_equal(T.upsample_repeat2d(Tensor(x), kh, kw).data, up)
+            assert np.allclose(T.avg_pool2d(Tensor(up), kh, kw).data, x, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("kh, kw", [(0, 2), (2, 0), (-2, 2), (2, -1)])
+    @pytest.mark.parametrize("op", ["avg_pool2d", "upsample_repeat2d"])
+    def test_factors_below_one_are_rejected(self, op, kh, kw):
+        with pytest.raises(T.ShapeError, match=f"{op}: factors {kh}x{kw} "):
+            getattr(T, op)(Tensor(np.ones((1, 1, 4, 4))), kh, kw)
+
+    @pytest.mark.parametrize("mode", jpeg.MODES)
+    def test_jpeg_subsample_equals_avg_pool2d(self, mode):
+        fv, fh = jpeg.mode_factors(mode)
+        x = np.random.default_rng(62).uniform(-128, 128, size=(3, 2, 16, 24))
+        cnhw = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        for arr in (x, cnhw):
+            want = np.ascontiguousarray(jpeg.subsample(arr, mode))
+            assert T.avg_pool2d(Tensor(arr), fv, fh).data.tobytes() == want.tobytes()
+
+    def test_pool_backward_scales_at_the_pooled_size(self):
+        x = Tensor(np.random.default_rng(63).normal(size=(2, 3, 8, 8)), requires_grad=True)
+        w = Tensor(np.random.default_rng(64).normal(size=(2, 3, 4, 4)), requires_grad=True)
+        (g,) = T.grad(T.sum_all(T.mul(T.avg_pool2d(x, 2, 2), w)), [x], create_graph=True)
+        assert g._op == "upsample_repeat2d" and g.shape == x.shape
+        (scaled,) = g._parents
+        assert scaled._op == "scalar_mul" and scaled.shape == w.shape
+        assert np.array_equal(g.data, np.kron(w.data / 4, np.ones((2, 2))))

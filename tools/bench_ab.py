@@ -19,7 +19,8 @@ leaves behind (null where it leaves none), and their medians. Since
 `setup_s` is the median raw set-up times the speed factor, these tell a
 `setup_s` verdict that comes from set-up spread from one that comes from
 host drift. It also holds the line count of each side's `src/` Python files
-and their difference.
+and their difference. After writing the file, the script prints one line
+per workload and end-to-end metric (`verdict_lines`).
 """
 
 from __future__ import annotations
@@ -81,6 +82,20 @@ def judge(s: dict, bound: float) -> dict:
         verdict = "ok"
     gain = 10 * s["won"] >= 9 * len(parent) and improvement > s["parent"]["iqr"]
     return {"verdict": verdict, "gain": gain}
+
+
+def verdict_lines(workloads: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a `compare` result:
+    parent median -> change median, the relative change, pairs won, verdict
+    and gain."""
+    lines = []
+    for w, result in workloads.items():
+        for name, m in result["metrics"].items():
+            parent, change = m["parent"]["median"], m["change"]["median"]
+            rel = f" ({100.0 * m['median_change'] / parent:+.1f} %)" if parent else ""
+            lines.append(f"{w} {name}: {parent:.4g} -> {change:.4g}{rel}, won {m['won']}/{len(m['pairs'])}, "
+                         f"{m['verdict']}, gain {'yes' if m['gain'] else 'no'}")
+    return lines
 
 
 def rusage_delta(before, after) -> dict:
@@ -230,6 +245,7 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(f"# wrote {path}")
+    print("\n".join(verdict_lines(report["workloads"])))
     return 0
 
 
