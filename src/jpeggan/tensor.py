@@ -663,10 +663,10 @@ def avg_pool2d(a: Tensor, kh: int, kw: int) -> Tensor:
         raise ShapeError(f"pool {kh}x{kw} does not tile {H}x{W}")
     cols = reduce(np.add, [a.data[..., j::kw] for j in range(kw)])
     data = reduce(np.add, [cols[..., i::kh, :] for i in range(kh)])
-    if data.flags.owndata:
+    if kh * kw > 1:  # `data` is memory this call allocated
         data /= kh * kw
-    else:  # a 1x1 pool sums nothing: `data` is a view of the input
-        data = data / (kh * kw)
+    else:  # nothing was summed: `data` is a view of the input
+        data = data.copy(order="K")
 
     def bw(g):
         return (upsample_repeat2d(scalar_mul(g, 1.0 / (kh * kw)), kh, kw),)
