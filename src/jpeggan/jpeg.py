@@ -220,9 +220,8 @@ def mode_factors(mode: str) -> tuple[int, int]:
 
 def subsample(plane: np.ndarray, mode: str) -> np.ndarray:
     """Block-mean chroma reduction of the trailing (H, W) axes (4:4:4 returns
-    the plane). Strided column slices are summed over all rows, then the
-    row slices of that, as `tensor.avg_pool2d` does: each block's row sums,
-    then their sum, which is numpy's block-mean order, bit for bit."""
+    the plane). Strided slices are summed within each block row, then across
+    rows, as `tensor.avg_pool2d` does: numpy's block-mean order, bit for bit."""
     fv, fh = mode_factors(mode)
     p = np.asarray(plane, dtype=np.float64)
     h, w = p.shape[-2:]
@@ -230,10 +229,8 @@ def subsample(plane: np.ndarray, mode: str) -> np.ndarray:
         raise ValueError(f"{h}x{w} plane not divisible by {fv}x{fh}")
     if fv == fh == 1:
         return p
-    cols = reduce(np.add, [p[..., j::fh] for j in range(fh)])
-    out = reduce(np.add, [cols[..., i::fv, :] for i in range(fv)])
-    out /= fv * fh
-    return out
+    rows = [reduce(np.add, [p[..., i::fv, j::fh] for j in range(fh)]) for i in range(fv)]
+    return reduce(np.add, rows) / (fv * fh)
 
 
 def upsample(plane: np.ndarray, mode: str) -> np.ndarray:

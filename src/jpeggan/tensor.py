@@ -110,31 +110,16 @@ def no_grad():
     return _grad_mode(False)
 
 
-def _flat_view(data: np.ndarray) -> np.ndarray | None:
-    """`data` as one 1-D view in memory order (what `ravel(order="K")` gives
-    without a copy), or None when its elements are not one dense run."""
-    if not data.flags.c_contiguous:
-        data = data.transpose(sorted(range(data.ndim), key=data.strides.__getitem__, reverse=True))
-        if not data.flags.c_contiguous:
-            return None
-    return data.reshape(-1)
-
-
 def _finite_or_raise(data: np.ndarray, op: str) -> None:
-    # One BLAS pass over the output: its sum of squares is NaN or inf if any
+    # One BLAS pass over the output in memory order (`ravel(order="K")` is a
+    # view for every op output here): its sum of squares is NaN or inf if any
     # element is, so a finite sum clears it. A non-finite sum is only a
     # suspicion (a finite output can overflow it), settled by the exact
-    # elementwise scan. BLAS raises no numpy warning on overflow; the
-    # fallback sum over a non-dense output is silenced to match.
+    # elementwise scan. BLAS raises no numpy warning on overflow.
     if data.dtype.kind != "f":
         return
-    flat = _flat_view(data)
-    if flat is not None:
-        s = np.vdot(flat, flat)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = data.sum()
-    if not math.isfinite(s) and not np.isfinite(data).all():
+    flat = data.ravel(order="K")
+    if not math.isfinite(np.vdot(flat, flat)) and not np.isfinite(data).all():
         raise NonFiniteError(f"op '{op}' produced a non-finite value")
 
 

@@ -953,7 +953,7 @@ class TestNonFiniteScreen:
     def test_conv2d_output_is_a_transposed_view(self):
         out = _conv_copy(Tensor(np.ones((3, 1, 4, 6)))).data
         assert not out.flags.c_contiguous and not out.flags.f_contiguous
-        assert T._flat_view(out) is not None and np.shares_memory(T._flat_view(out), out)
+        assert np.shares_memory(out.ravel(order="K"), out)  # screened without a copy
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
@@ -967,11 +967,11 @@ class TestNonFiniteScreen:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_dense_output_falls_back_to_the_sum(self, bad, dtype):
+    def test_non_dense_output_is_screened(self, bad, dtype):
         # no op returns such an array today; the screen must still see it
         for view in (lambda a: a[:, ::2], lambda a: a[::-1], lambda a: np.broadcast_to(a[:1], (3, 6))):
             data = np.ones((3, 6), dtype=dtype)
-            assert T._flat_view(view(data)) is None
+            assert not np.shares_memory(view(data).ravel(order="K"), data)
             T._finite_or_raise(view(data), "probe")
             data[0, 4] = bad
             with pytest.raises(T.NonFiniteError, match="'probe'"):
@@ -984,7 +984,7 @@ class TestNonFiniteScreen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = self.OPS[op](Tensor(x)).data
-            T._finite_or_raise(out[:, :, ::2], "probe")  # and the fallback sum
+            T._finite_or_raise(out[:, :, ::2], "probe")  # a non-dense output too
         assert np.isfinite(out).all() and out.max() == big
 
     def test_near_overflow_f32_output_passes_silently(self):
@@ -992,7 +992,7 @@ class TestNonFiniteScreen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert T.scalar_mul(x, 1.0).data.tobytes() == x.data.tobytes()
-            T._finite_or_raise(np.full((4, 4), 3e38, np.float32)[:, ::2], "probe")  # the fallback sum overflows
+            T._finite_or_raise(np.full((4, 4), 3e38, np.float32)[:, ::2], "probe")  # a non-dense output too
 
 
 class TestResampling:
