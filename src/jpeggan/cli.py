@@ -16,6 +16,7 @@ import argparse
 import configparser
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -97,18 +98,15 @@ def _load_config_file(path, cfg, issues):
             cfg[section][key] = _coerce(raw, cfg[section][key], f"[{section}] {key}", issues)
 
 
-def _apply_env(cfg, issues):
-    for name, (section, key) in _FLAG_KEYS.items():
-        raw = os.environ.get(ENV_PREFIX + name.upper())
-        if raw is not None:
-            cfg[section][key] = _coerce(raw, cfg[section][key], ENV_PREFIX + name.upper(), issues)
-
-
-def _apply_flags(args, cfg, issues):
-    for name, (section, key) in _FLAG_KEYS.items():
-        raw = getattr(args, name, None)
-        if raw is not None:
-            cfg[section][key] = _coerce(str(raw), cfg[section][key], f"--{name}", issues)
+def _apply_overrides(args, cfg, issues):
+    """Environment variables, then flags: the later source wins, and problems
+    are reported in that order."""
+    env = [(ENV_PREFIX + name.upper(), os.environ.get(ENV_PREFIX + name.upper())) for name in _FLAG_KEYS]
+    flags = [(f"--{name}", getattr(args, name, None)) for name in _FLAG_KEYS]
+    for source in (env, flags):
+        for (where, raw), (section, key) in zip(source, _FLAG_KEYS.values()):
+            if raw is not None:
+                cfg[section][key] = _coerce(str(raw), cfg[section][key], where, issues)
 
 
 def _validate(cfg, issues):
@@ -125,7 +123,7 @@ def _validate(cfg, issues):
         issues.append("data count must be >= 1")
     if cfg["data"]["size"] % 16 or cfg["data"]["size"] < 16:
         issues.append("data size must be a positive multiple of 16")
-    issues += [f"[train] {p}" for p in _train_config(cfg).problems()]
+    issues += [f"[train] {p}" for p in training.TrainConfig(**cfg["train"]).problems()]
 
 
 def resolve_config(args) -> dict:
@@ -134,16 +132,11 @@ def resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if getattr(args, "config", None):
         _load_config_file(args.config, cfg, issues)
-    _apply_env(cfg, issues)
-    _apply_flags(args, cfg, issues)
+    _apply_overrides(args, cfg, issues)
     _validate(cfg, issues)
     if issues:
         raise UsageError(issues)
     return cfg
-
-
-def _train_config(cfg) -> training.TrainConfig:
-    return training.TrainConfig(**cfg["train"])
 
 
 def _dtype(cfg):
@@ -179,100 +172,82 @@ def _load_data(source, cfg, dtype) -> np.ndarray:
     return data.astype(dtype)
 
 
-def _training_data(source, cfg, dtype) -> np.ndarray:
-    data = _load_data(source, cfg, dtype)
+def _training_inputs(args, cfg):
+    """The networks and the dataset of a training command, checked against
+    each other."""
+    dtype = _dtype(cfg)
+    gen, disc = _build_networks(cfg, dtype)
+    data = _load_data(args.data, cfg, dtype)
     res = cfg["generator"]["resolution"]
     if data.shape[2:] != (res, res):
         h, w = data.shape[2:]
         raise UsageError(
-            [f"dataset {source}: {h}x{w} images, but [generator] resolution is {res}x{res}"]
+            [f"dataset {args.data}: {h}x{w} images, but [generator] resolution is {res}x{res}"]
         )
-    return data
+    return gen, disc, data
 
 
-def _check_resume(args, gen, disc, anchor=None) -> None:
-    if args.resume is not None:
-        try:
-            training.check_resume(args.resume, gen, disc, anchor)
-        except (OSError, ValueError) as e:
-            raise DataError(f"resume checkpoint: {e}") from None
-
-
-def _out_dir(args) -> str:
+def _start_out(args, cfg, extra=None) -> str:
+    """Create --out and write its manifest: the resolved settings, the
+    command's name and versions, plus `extra`."""
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
         raise UsageError([f"--out {args.out}: {e.strerror}"]) from None
-    return args.out
-
-
-def _write_manifest(out_dir, command, cfg, extra=None):
     doc = {
-        "command": command,
+        "command": args.command,
         "config": cfg,
         "versions": {"jpeggan": __version__, "numpy": np.__version__},
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return args.out
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_pretrain(args) -> int:
-    cfg = resolve_config(args)
-    dtype = _dtype(cfg)
-    gen, disc = _build_networks(cfg, dtype)
-    data = _training_data(args.data, cfg, dtype)
-    _check_resume(args, gen, disc)
-    out = _out_dir(args)
-    _write_manifest(out, "pretrain", cfg)
-    training.pretrain_baseline(
-        gen,
-        disc,
-        data,
-        _train_config(cfg),
+def _run_phase(args, cfg, phase, gen, disc, anchor=None) -> int:
+    """Check --resume against `gen`, `disc` and `anchor`, then run `phase`, a
+    training function bound to its networks and data, into --out."""
+    if args.resume is not None:
+        try:
+            training.check_resume(args.resume, gen, disc, anchor)
+        except (OSError, ValueError) as e:
+            raise DataError(f"resume checkpoint: {e}") from None
+    out = _start_out(args, cfg)
+    phase(
+        training.TrainConfig(**cfg["train"]),
         RngStreams(cfg["run"]["seed"]),
         csv_path=os.path.join(out, "loss.csv"),
         checkpoint_path=os.path.join(out, "checkpoint.params"),
         resume_from=args.resume,
     )
     return EXIT_OK
+
+
+def cmd_pretrain(args) -> int:
+    cfg = resolve_config(args)
+    gen, disc, data = _training_inputs(args, cfg)
+    phase = functools.partial(training.pretrain_baseline, gen, disc, data)
+    return _run_phase(args, cfg, phase, gen, disc)
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     if (args.pretrained is None) == (args.resume is None):
         raise UsageError(["exactly one of --pretrained and --resume is required"])
-    dtype = _dtype(cfg)
-    gen, disc = _build_networks(cfg, dtype)
-    data = _training_data(args.data, cfg, dtype)
-
+    gen, disc, data = _training_inputs(args, cfg)
     if args.pretrained is not None:
         try:
             training.load_pretrained(args.pretrained, gen, disc)
         except (OSError, ValueError) as e:
             raise DataError(f"pretrained checkpoint: {e}") from None
     anchor = networks.extract_anchor(gen)
-    _check_resume(args, gen, disc, anchor)
-
-    out = _out_dir(args)
-    _write_manifest(out, "train", cfg)
-    training.train(
-        gen,
-        anchor,
-        disc,
-        data,
-        _train_config(cfg),
-        RngStreams(cfg["run"]["seed"]),
-        csv_path=os.path.join(out, "loss.csv"),
-        checkpoint_path=os.path.join(out, "checkpoint.params"),
-        resume_from=args.resume,
-    )
-    return EXIT_OK
+    phase = functools.partial(training.train, gen, anchor, disc, data)
+    return _run_phase(args, cfg, phase, gen, disc, anchor)
 
 
 def cmd_generate(args) -> int:
@@ -287,8 +262,7 @@ def cmd_generate(args) -> int:
         training.load_checkpoint(args.checkpoint, {"gen": gen.params()}, {})
     except (OSError, ValueError) as e:
         raise DataError(f"checkpoint: {e}") from None
-    out = _out_dir(args)
-    _write_manifest(out, "generate", cfg, {"count": args.count})
+    out = _start_out(args, cfg, {"count": args.count})
 
     streams = RngStreams(cfg["run"]["seed"])
     previews = []
@@ -320,46 +294,45 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_image(path) -> np.ndarray:
-    try:
-        return datasets.read_ppm(path)
-    except (OSError, ValueError) as e:  # read_ppm's and open()'s errors name the path
-        raise DataError(str(e)) from None
+def _convert_each(args, cfg, convert, write) -> int:
+    """`convert` every input before --out exists, then `write(value, stem)`
+    one file per input, `stem` being its --out path without a suffix."""
+    converted = [(path, convert(path)) for path in args.inputs]
+    out = _start_out(args, cfg, {"inputs": list(args.inputs)})
+    for path, value in converted:
+        write(value, os.path.join(out, os.path.splitext(os.path.basename(path))[0]))
+    return EXIT_OK
 
 
 def cmd_encode(args) -> int:
     cfg = resolve_config(args)
-    qf = cfg["generator"]["quality_factor"]
-    mode = cfg["generator"]["mode"]
-    encoded = []
-    for path in args.inputs:
-        image = _read_image(path)
+    qf, mode = cfg["generator"]["quality_factor"], cfg["generator"]["mode"]
+
+    def encode(path):
         try:
-            encoded.append((path, codec.encode_image(image, qf, mode)))
+            image = datasets.read_ppm(path)
+        except (OSError, ValueError) as e:  # read_ppm's and open()'s errors name the path
+            raise DataError(str(e)) from None
+        try:
+            return codec.encode_image(image, qf, mode)
         except ValueError as e:
             raise DataError(f"{path}: {e}") from None
-    out = _out_dir(args)
-    _write_manifest(out, "encode", cfg, {"inputs": list(args.inputs)})
-    for path, enc in encoded:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        jfif.write_jfif(enc, os.path.join(out, stem + ".jpg"))
-    return EXIT_OK
+
+    return _convert_each(args, cfg, encode, lambda enc, stem: jfif.write_jfif(enc, stem + ".jpg"))
 
 
 def cmd_decode(args) -> int:
     cfg = resolve_config(args)
-    encoded = []
-    for path in args.inputs:
+
+    def read(path):
         try:
-            encoded.append((path, jfif.read_jfif(path)))
+            return jfif.read_jfif(path)
         except (OSError, ValueError) as e:
             raise DataError(f"{path}: {e}") from None
-    out = _out_dir(args)
-    _write_manifest(out, "decode", cfg, {"inputs": list(args.inputs)})
-    for path, enc in encoded:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        datasets.write_ppm(os.path.join(out, stem + ".ppm"), codec.decode_image(enc))
-    return EXIT_OK
+
+    return _convert_each(
+        args, cfg, read, lambda enc, stem: datasets.write_ppm(stem + ".ppm", codec.decode_image(enc))
+    )
 
 
 def cmd_fid(args) -> int:
@@ -374,8 +347,7 @@ def cmd_fid(args) -> int:
         except ValueError as e:
             raise DataError(f"dataset {source}: {e}") from None
     value = fid.frechet_from_moments(*moments)
-    out = _out_dir(args)
-    _write_manifest(out, "fid", cfg, {"set_a": args.set_a, "set_b": args.set_b})
+    out = _start_out(args, cfg, {"set_a": args.set_a, "set_b": args.set_b})
     with open(os.path.join(out, "fid.csv"), "w") as fh:
         fh.write("set_a,set_b,fid\n")
         fh.write(f"{args.set_a},{args.set_b},{value:.10g}\n")
@@ -408,8 +380,7 @@ def cmd_sweep(args) -> int:
         rows = fid.compression_sweep(images, qfs, modes)
     except ValueError as e:
         raise DataError(f"dataset {args.data}: {e}") from None
-    out = _out_dir(args)
-    _write_manifest(out, "sweep", cfg, {"quality_factors": qfs, "modes": modes})
+    out = _start_out(args, cfg, {"quality_factors": qfs, "modes": modes})
     fid.write_sweep_csv(rows, os.path.join(out, "sweep.csv"))
     return EXIT_OK
 

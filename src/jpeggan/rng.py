@@ -1,10 +1,11 @@
-"""Named, independently seeded random streams.
+"""Named, independently seeded random generators.
 
-Every consumer of randomness (weight init, latent noise, penalty
-interpolation, batch sampling, ...) pulls from its own stream so that adding
-a draw in one place never perturbs the sequence seen by another.  Streams are
-derived from a single base seed plus the stream name, so a run is fully
-reproducible from one integer.
+Every consumer of randomness (latent noise, penalty interpolation, batch
+sampling, synthetic images, ...) draws from a one-shot generator spawned for
+its own name and an index (a step, an image), so adding a draw in one place
+never perturbs the sequence seen by another, and no draw depends on call
+order.  Each generator is derived from a single base seed plus the name and
+index, so a run is fully reproducible from one integer.
 """
 
 from __future__ import annotations
@@ -17,23 +18,8 @@ __all__ = ["RngStreams"]
 class RngStreams:
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for `name`, creating it on first use."""
-        g = self._streams.get(name)
-        if g is None:
-            # Stable derivation: base seed + the stream name's bytes.
-            ss = np.random.SeedSequence([self.seed, *name.encode("utf-8")])
-            g = np.random.default_rng(ss)
-            self._streams[name] = g
-        return g
 
     def spawn(self, name: str, key: int) -> np.random.Generator:
-        """A one-shot generator for (name, key); independent of stream state.
-
-        Used where determinism must not depend on call order, e.g. synthetic
-        dataset images addressed by index.
-        """
+        """A fresh generator for (name, key): the same draws on every call."""
         ss = np.random.SeedSequence([self.seed, key, *name.encode("utf-8")])
         return np.random.default_rng(ss)

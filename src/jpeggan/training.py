@@ -34,6 +34,7 @@ from __future__ import annotations
 import copy
 import csv
 import ctypes
+import math
 import os
 from dataclasses import dataclass
 
@@ -83,17 +84,25 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: only the final state is written
 
     def problems(self) -> list[str]:
-        """One message per setting out of range; empty when the config is valid."""
+        """One message per setting out of range; empty when the config is valid.
+
+        A NaN or infinite weight, learning rate or `adam_eps` gets one message
+        of its own and none from the range checks."""
+        reals = ("anchor_weight", "gp_weight", "lr_discriminator", "lr_generator", "adam_eps")
+        finite = {k: math.isfinite(getattr(self, k)) for k in reals}
+        # a non-finite setting is reported once, below: 1.0 passes its range check
+        value = {k: getattr(self, k) if finite[k] else 1.0 for k in reals}
         checks = [
             (self.steps >= 0, "steps must be >= 0"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.anchor_weight >= 0 and self.gp_weight >= 0, "loss weights must be >= 0"),
-            (self.lr_discriminator > 0 and self.lr_generator > 0, "learning rates must be > 0"),
+            (value["anchor_weight"] >= 0 and value["gp_weight"] >= 0, "loss weights must be >= 0"),
+            (value["lr_discriminator"] > 0 and value["lr_generator"] > 0, "learning rates must be > 0"),
             (self.critic_updates_per_gen >= 1, "critic_updates_per_gen must be >= 1"),
             (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1, "betas must lie in [0, 1)"),
-            (self.adam_eps >= 0, "adam_eps must be >= 0"),
+            (value["adam_eps"] >= 0, "adam_eps must be >= 0"),
             (self.checkpoint_every >= 0, "checkpoint_every must be >= 0"),
         ]
+        checks += [(finite[k], f"{k} must be finite") for k in reals]
         return [message for ok, message in checks if not ok]
 
     def validate(self) -> None:
@@ -245,15 +254,24 @@ def param_grads(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray
 
 
 class _CsvLog:
-    def __init__(self, path, resume: bool):
+    """`loss.csv`: a header, then one row per step. A run resumed at
+    `start_step` keeps the rows an earlier run logged for the steps before
+    it and drops the rest, so its log equals an uninterrupted run's."""
+
+    def __init__(self, path, start_step: int):
         self.fh = None
         if path is not None:
-            append = resume and os.path.exists(path)
-            self.fh = open(path, "a" if append else "w", newline="")
+            resume = start_step > 0 and os.path.exists(path)
+            if resume:
+                with open(path, newline="") as fh:
+                    kept = [line for line in fh if _logged_before(line, start_step)]
+            self.fh = open(path, "w", newline="")
             self.writer = csv.writer(self.fh)
-            if not append:
+            if resume:
+                self.fh.writelines(kept)
+            else:
                 self.writer.writerow(CSV_COLUMNS)
-                self.fh.flush()
+            self.fh.flush()
 
     def write(self, report: LossReport) -> None:
         if self.fh is not None:
@@ -263,6 +281,13 @@ class _CsvLog:
     def close(self) -> None:
         if self.fh is not None:
             self.fh.close()
+
+
+def _logged_before(line: str, start_step: int) -> bool:
+    """False for a `loss.csv` row of step `start_step` or later; True for the
+    header and every other line."""
+    step = line.split(",", 1)[0]
+    return not step.isdigit() or int(step) < start_step
 
 
 def _layout(step: int, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]):
@@ -352,7 +377,7 @@ def _run_adversarial(
     optimizers = _optimizers(groups, cfg)
     opt_g, opt_d = optimizers["adam_g"], optimizers["adam_d"]
     start_step = 0 if resume_from is None else load_checkpoint(resume_from, groups, optimizers)
-    log = _CsvLog(csv_path, resume=start_step > 0)
+    log = _CsvLog(csv_path, start_step)
     reports: list[LossReport] = []
     last_checkpoint = start_step if start_step > 0 else None
     _keep_freed_memory()

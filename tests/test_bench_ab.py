@@ -141,9 +141,21 @@ class TestSrcLines:
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "t.py").write_text("ignored\n" * 5)
         assert bench_ab.src_lines(str(tmp_path)) == 4
+        assert list(bench_ab.src_file_lines(str(tmp_path)).items()) == [("src/a.py", 3), ("src/pkg/b.py", 1)]
 
     def test_tree_without_src_has_none(self, tmp_path):
         assert bench_ab.src_lines(str(tmp_path)) == 0
+        assert bench_ab.src_file_lines(str(tmp_path)) == {}
+
+    def test_line_changes_per_file(self):
+        parent = {"src/a.py": 10, "src/gone.py": 4, "src/same.py": 7}
+        change = {"src/a.py": 8, "src/new.py": 5, "src/same.py": 7}
+        assert list(bench_ab.line_changes(parent, change).items()) == [
+            ("src/a.py", {"parent": 10, "change": 8, "net": -2}),
+            ("src/gone.py", {"parent": 4, "change": 0, "net": -4}),
+            ("src/new.py", {"parent": 0, "change": 5, "net": 5}),
+            ("src/same.py", {"parent": 7, "change": 7, "net": 0}),
+        ]
 
 
 class TestVerdictLines:

@@ -2,11 +2,12 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from jpeggan import cli, datasets, jfif, networks, training
+from jpeggan import cli, codec, datasets, jfif, networks, training
 
 TINY_INI = """\
 [run]
@@ -127,6 +128,16 @@ class TestConfigResolution:
         ], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["anchor_weight", "gp_weight", "lr_discriminator", "lr_generator", "adam_eps"])
+    def test_non_finite_train_setting_is_one_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TINY_INI.replace("batch_size = 4", f"batch_size = 4\n{key} = {value}"))
+        out = tmp_path / "out"
+        assert run("pretrain", "synthetic", "--config", cfg, "--out", out) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: [train] {key} must be finite\n"
+        assert not out.exists()
+
     def test_missing_subcommand(self):
         assert cli.main([]) == 1
 
@@ -159,6 +170,19 @@ class TestTrainingCommands:
         assert run("pretrain", "synthetic", "--config", tiny_config, "--seed", 3,
                    "--steps", 4, "--out", half,
                    "--resume", half / "checkpoint.params") == 0
+        assert (half / "loss.csv").read_bytes() == (full / "loss.csv").read_bytes()
+        assert (half / "checkpoint.params").read_bytes() == (full / "checkpoint.params").read_bytes()
+
+    def test_resume_from_older_checkpoint_matches_uninterrupted(self, tmp_path, tiny_config):
+        # steps 2 and later were logged after the checkpoint a run resumes from
+        full, half = tmp_path / "full", tmp_path / "half"
+        base = ("pretrain", "synthetic", "--config", tiny_config, "--seed", 3)
+        assert run(*base, "--steps", 4, "--out", full) == 0
+        assert run(*base, "--steps", 2, "--out", half) == 0
+        older = tmp_path / "ck2.params"
+        shutil.copyfile(half / "checkpoint.params", older)
+        assert run(*base, "--steps", 3, "--out", half, "--resume", half / "checkpoint.params") == 0
+        assert run(*base, "--steps", 4, "--out", half, "--resume", older) == 0
         assert (half / "loss.csv").read_bytes() == (full / "loss.csv").read_bytes()
         assert (half / "checkpoint.params").read_bytes() == (full / "checkpoint.params").read_bytes()
 
@@ -294,6 +318,32 @@ class TestCodecCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("x.ppm") == 1, err
 
+    @pytest.mark.parametrize("case", [
+        "encode-missing", "encode-truncated", "encode-rejected", "decode-missing", "decode-rejected",
+    ])
+    def test_bad_input_is_one_exact_data_error(self, tmp_path, capsys, ppms, case):
+        command, name, content, message = {
+            "encode-missing": ("encode", "x.ppm", None, "[Errno 2] No such file or directory: '{p}'"),
+            "encode-truncated": ("encode", "x.ppm", b"P6\n2 2\n255\nabc", "{p}: expected 12 sample bytes, got 3"),
+            # maxval 1, so the sample 2 reads as 510
+            "encode-rejected": ("encode", "x.ppm", b"P6\n1 1\n1\n\x02\x00\x00",
+                                "{p}: pixel values outside [0, 255]"),
+            "decode-missing": ("decode", "x.jpg", None, "{p}: [Errno 2] No such file or directory: '{p}'"),
+            "decode-rejected": ("decode", "x.jpg", b"\x00\x01\x02",
+                                "{p}: offset 0: SOI differs from the header jpeggan writes"),
+        }[case]
+        good = ppms[0]
+        if command == "decode":  # a readable first input: every input is read before --out exists
+            good = tmp_path / "good.jpg"
+            jfif.write_jfif(codec.encode_image(datasets.read_ppm(str(ppms[0])), 75, "4:2:0"), str(good))
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "o"
+        assert run(command, good, path, "--out", out) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message.format(p=path)}\n"
+        assert not out.exists()
+
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jpg"
         bad.write_bytes(b"\x00\x01\x02")
@@ -308,6 +358,26 @@ class TestCodecCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}: "), err
         assert blocker.read_bytes() == b"not a directory"
+
+
+class TestManifest:
+    def test_every_command_records_its_name(self, tmp_path, tiny_config):
+        ppm = tmp_path / "img.ppm"
+        datasets.write_ppm(str(ppm), np.random.default_rng(0).uniform(0, 255, (16, 16, 3)))
+
+        def command(name, *argv):
+            out = tmp_path / name
+            assert run(name, *argv, "--config", tiny_config, "--out", out) == 0
+            assert json.loads((out / "manifest.json").read_text())["command"] == name
+            return out
+
+        pre = command("pretrain", "synthetic", "--steps", 0)
+        joint = command("train", "synthetic", "--steps", 0, "--pretrained", pre / "checkpoint.params")
+        command("generate", "--checkpoint", joint / "checkpoint.params", "--count", 1)
+        enc = command("encode", ppm)
+        command("decode", enc / "img.jpg")
+        command("fid", "synthetic", "synthetic")
+        command("sweep", "synthetic", "--qf", "90", "--mode", "4:4:4")
 
 
 class TestAnalysisCommands:

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import re
 import weakref
 from dataclasses import replace
@@ -257,6 +258,34 @@ class TestLossStep:
         assert abs(mean_grad_norm - norm) < 1e-9
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["anchor_weight", "gp_weight", "lr_discriminator", "lr_generator", "adam_eps"])
+    def test_non_finite_setting_is_one_problem(self, key, value):
+        assert training.TrainConfig(**{key: value}).problems() == [f"{key} must be finite"]
+
+    def test_non_finite_beside_out_of_range(self):
+        cfg = training.TrainConfig(anchor_weight=math.nan, gp_weight=-1.0, lr_discriminator=0.0,
+                                   lr_generator=math.inf)
+        assert cfg.problems() == [
+            "loss weights must be >= 0",
+            "learning rates must be > 0",
+            "anchor_weight must be finite",
+            "lr_generator must be finite",
+        ]
+
+    @pytest.mark.parametrize("key", ["adam_eps", "gp_weight"])
+    def test_infinite_setting_stops_training_before_a_step(self, key):
+        gen, _, disc = build_nets(0)
+        before = {k: v.data.copy() for k, v in disc.params().items()}
+        cfg = training.TrainConfig(steps=1, batch_size=4, **{key: math.inf})
+        data = datasets.synthetic_dataset(0, 4, size=32).astype(np.float64)
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            training.pretrain_baseline(gen, disc, data, cfg, RngStreams(1))
+        for k, v in disc.params().items():
+            assert np.array_equal(before[k], v.data), k
+
+
 class TestTrainingLoops:
     def small_cfg(self, steps=3, **kw):
         return training.TrainConfig(
@@ -344,6 +373,23 @@ class TestTrainingLoops:
             pa, pb = gen_a.params(), gen_b.params()
             for k in pa:
                 assert np.array_equal(pa[k].data, pb[k].data), k
+
+    def test_resume_drops_rows_logged_after_its_checkpoint(self, tmp_path):
+        data = self.data()
+        full, log = tmp_path / "full.csv", tmp_path / "log.csv"
+        gen, anchor, disc = build_nets(5)
+        training.train(gen, anchor, disc, data, self.small_cfg(steps=4), RngStreams(9), csv_path=full)
+
+        gen, anchor, disc = build_nets(5)
+        older = tmp_path / "ck1.params"
+        training.train(gen, anchor, disc, data, self.small_cfg(steps=1), RngStreams(9),
+                       csv_path=log, checkpoint_path=older)
+        training.train(gen, anchor, disc, data, self.small_cfg(steps=3), RngStreams(9),
+                       csv_path=log, resume_from=older)  # logs steps 1 and 2
+        gen, anchor, disc = build_nets(5)
+        training.train(gen, anchor, disc, data, self.small_cfg(steps=4), RngStreams(9),
+                       csv_path=log, resume_from=older)
+        assert log.read_bytes() == full.read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):

@@ -19,8 +19,9 @@ leaves behind (null where it leaves none), and their medians. Since
 `setup_s` is the median raw set-up times the speed factor, these tell a
 `setup_s` verdict that comes from set-up spread from one that comes from
 host drift. It also holds the line count of each side's `src/` Python files
-and their difference. After writing the file, the script prints one line
-per workload and end-to-end metric (`verdict_lines`).
+and their difference, in total and per file. After writing the file, the
+script prints one line per workload and end-to-end metric (`verdict_lines`)
+and one per `src/` file whose line count changed.
 """
 
 from __future__ import annotations
@@ -132,14 +133,30 @@ def setup_summary(details: list) -> dict:
                        "speed_factor": median([d["speed_factor"] for d in have])}}
 
 
-def src_lines(tree: str) -> int:
-    """Lines (newline characters, as `wc -l` counts them) in the `.py` files under `tree`/src."""
-    total = 0
+def src_file_lines(tree: str) -> dict[str, int]:
+    """Lines (newline characters, as `wc -l` counts them) in each `.py` file
+    under `tree`/src, keyed by its `/`-separated path relative to `tree`, in
+    path order."""
+    counts = {}
     for root, _, files in os.walk(os.path.join(tree, "src")):
         for name in filter(lambda n: n.endswith(".py"), files):
-            with open(os.path.join(root, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                counts[os.path.relpath(path, tree).replace(os.sep, "/")] = fh.read().count(b"\n")
+    return dict(sorted(counts.items()))
+
+
+def src_lines(tree: str) -> int:
+    """Lines in all the `.py` files under `tree`/src."""
+    return sum(src_file_lines(tree).values())
+
+
+def line_changes(parent: dict[str, int], change: dict[str, int]) -> dict:
+    """For each file in either `src_file_lines` result, in path order: its
+    lines on each side (0 where it is absent) and the net change."""
+    return {path: {"parent": parent.get(path, 0), "change": change.get(path, 0),
+                   "net": change.get(path, 0) - parent.get(path, 0)}
+            for path in sorted(parent.keys() | change.keys())}
 
 
 def extract(rev: str, dest: str) -> str:
@@ -232,6 +249,7 @@ def main(argv=None) -> int:
             "command": "python3 tools/bench_ab.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "commits": commits,
             "src_lines": {side: src_lines(trees[side]) for side in ("parent", "change")},
+            "src_file_lines": line_changes(src_file_lines(trees["parent"]), src_file_lines(trees["change"])),
             "seeds": seeds,
             "run_seconds": bench["run_seconds"],
             "host": {"python": platform.python_version(), "machine": platform.machine(),
@@ -246,6 +264,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"# wrote {path}")
     print("\n".join(verdict_lines(report["workloads"])))
+    for path, lines in report["src_file_lines"].items():
+        if lines["net"]:
+            print(f"{path}: {lines['parent']} -> {lines['change']} lines ({lines['net']:+d})")
     return 0
 
 
