@@ -256,16 +256,17 @@ def param_grads(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray
 class _CsvLog:
     """`loss.csv`: a header, then one row per step. A run resumed at
     `start_step` keeps the rows an earlier run logged for the steps before
-    it and drops the rest, so its log equals an uninterrupted run's."""
+    it and drops the rest, so its log equals an uninterrupted run's. Bytes
+    that are not text pass through unchanged."""
 
     def __init__(self, path, start_step: int):
         self.fh = None
         if path is not None:
             resume = start_step > 0 and os.path.exists(path)
             if resume:
-                with open(path, newline="") as fh:
+                with open(path, newline="", errors="surrogateescape") as fh:
                     kept = [line for line in fh if _logged_before(line, start_step)]
-            self.fh = open(path, "w", newline="")
+            self.fh = open(path, "w", newline="", errors="surrogateescape")
             self.writer = csv.writer(self.fh)
             if resume:
                 self.fh.writelines(kept)

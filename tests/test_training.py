@@ -391,6 +391,12 @@ class TestTrainingLoops:
                        csv_path=log, resume_from=older)
         assert log.read_bytes() == full.read_bytes()
 
+    def test_resume_keeps_earlier_lines_byte_for_byte(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(b"step,d_loss\r\n0,1\xff\r\nnote\r\n1,2\r\n2,3\r\n")
+        training._CsvLog(path, 1).close()
+        assert path.read_bytes() == b"step,d_loss\r\n0,1\xff\r\nnote\r\n"
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
         gen, anchor, disc = build_nets(6)
