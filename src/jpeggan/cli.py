@@ -210,11 +210,13 @@ def _start_out(args, cfg, extra=None) -> str:
 
 
 def _run_phase(args, cfg, phase, gen, disc, anchor=None) -> int:
-    """Check --resume against `gen`, `disc` and `anchor`, then run `phase`, a
-    training function bound to its networks and data, into --out."""
+    """Read and check --resume against `gen`, `disc` and `anchor`, then run
+    `phase`, a training function bound to its networks and data, into --out
+    from the arrays read."""
+    resume_from = None
     if args.resume is not None:
         try:
-            training.check_resume(args.resume, gen, disc, anchor)
+            resume_from = training.check_resume(args.resume, gen, disc, anchor)
         except (OSError, ValueError) as e:
             raise DataError(f"resume checkpoint: {e}") from None
     out = _start_out(args, cfg)
@@ -223,7 +225,7 @@ def _run_phase(args, cfg, phase, gen, disc, anchor=None) -> int:
         RngStreams(cfg["run"]["seed"]),
         csv_path=os.path.join(out, "loss.csv"),
         checkpoint_path=os.path.join(out, "checkpoint.params"),
-        resume_from=args.resume,
+        resume_from=resume_from,
     )
     return EXIT_OK
 
@@ -327,7 +329,9 @@ def cmd_decode(args) -> int:
     def read(path):
         try:
             return jfif.read_jfif(path)
-        except (OSError, ValueError) as e:
+        except OSError as e:  # open()'s errors name the path
+            raise DataError(str(e)) from None
+        except ValueError as e:
             raise DataError(f"{path}: {e}") from None
 
     return _convert_each(

@@ -1,15 +1,28 @@
 """Coefficients <-> pixels, in two interchangeable forms.
 
 `encode_batch` / `decode_batch` are the plain-numpy reference codec used for
-real data, oracles, and the CLI. Each runs its pipeline once over a whole
-batch of same-sized images, on channel-planar (3, N, H, W) memory: the color
-transform is one (3, 3) @ (3, N*H*W) GEMM, which rounds exactly as
+real data, oracles, and the CLI. Both wrap a core on stacked level planes:
+`_encode_levels` turns a batch of same-sized images into (N, h, w) int64
+quantizer levels per plane, each 8x8 block in its place in the plane, and
+`_decode_levels` turns such planes back into pixels. `fid.compression_sweep`
+hands the planes straight from one to the other; the wrappers add one
+`EncodedImage` container per image and its checks. `encode_image`,
+`decode_image` and `decode_samples` are one-image wrappers.
+
+The core runs on channel-planar (3, N, H, W) memory: the color transform
+is one (3, 3) @ (3, N*H*W) GEMM, which rounds exactly as
 `jpeg.rgb_to_ycbcr` / `ycbcr_to_rgb` do on pixel-interleaved rows (an
 elementwise multiply-add would not), and each plane is contiguous for
-subsampling and blocking. `encode_image`, `decode_image` and
-`decode_samples` are one-image wrappers around them. `decode_planes` is the
-same decode pipeline expressed in differentiable tensor ops so gradients can
-flow from pixel-space losses back into coefficient-space generators:
+subsampling and the DCT. The DCT runs on whole planes, not on copies cut
+into 8x8 tiles: T times each 8-row strip, then each 8-wide row of the
+result times Tᵀ; the inverse is Tᵀ times each strip, then T. That keeps
+`jpeg.dct8x8`'s (T·B)·Tᵀ and `jpeg.idct8x8`'s (Tᵀ·C)·T product order, so
+every coefficient and pixel rounds as in the blockwise form. Quantization
+divides by the 8x8 table tiled over the plane.
+
+`decode_planes` is the same decode pipeline expressed in differentiable
+tensor ops so gradients can flow from pixel-space losses back into
+coefficient-space generators:
 
     dequantize -> inverse DCT (+128 level shift) -> chroma upsample
     -> YCbCr to RGB -> clip to [0, 255]
@@ -17,11 +30,11 @@ flow from pixel-space losses back into coefficient-space generators:
 The tape route writes dequantization plus the 8x8 inverse DCT as one
 64x64 linear map, diag(q) kron(T, T), applied to every block through
 `layers.block_map`, the same block map the locally connected layers use;
-the color transform is a 1x1 `conv2d`. The reference decoder keeps
-`jpeg.idct8x8` (Tᵀ B T): the kron map rounds differently in the last
-bits, and the reference pixels and sweep figures are pinned bit for bit.
-Both routes share the quantization tables, DCT matrix and color matrix, so
-they agree to floating-point accuracy; a test pins that.
+the color transform is a 1x1 `conv2d`. The reference decoder keeps the
+(Tᵀ·C)·T order: the kron map rounds differently in the last bits, and the
+reference pixels and sweep figures are pinned bit for bit. Both routes
+share the quantization tables, DCT matrix and color matrix, so they agree
+to floating-point accuracy; a test pins that.
 """
 
 from __future__ import annotations
@@ -44,9 +57,33 @@ __all__ = [
 ]
 
 
-def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
-    """Reference encoder: (N, 3, H, W) pixels in [0, 255] -> one container
-    of quantized coefficients per image.
+def _plane_dct(planes: np.ndarray) -> np.ndarray:
+    """Forward DCT of every 8x8 block of (N, h, w) planes, each block's
+    coefficients left in its place: T times each 8-row strip, then each
+    8-wide row of the result times Tᵀ. That is `jpeg.dct8x8`'s product
+    order, (T·B)·Tᵀ, so every coefficient rounds the same."""
+    n, h, w = planes.shape
+    strips = jpeg._DCT_T @ planes.reshape(n * h // 8, 8, w)
+    return (strips.reshape(-1, 8) @ jpeg._DCT_T.T).reshape(n, h, w)
+
+
+def _plane_idct(coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of `_plane_dct` in `jpeg.idct8x8`'s order, (Tᵀ·C)·T, into
+    contiguous `out` of `coef`'s shape."""
+    n, h, w = coef.shape
+    strips = jpeg._DCT_T.T @ coef.reshape(n * h // 8, 8, w)
+    return np.matmul(strips.reshape(-1, 8), jpeg._DCT_T, out=out.reshape(-1, 8)).reshape(n, h, w)
+
+
+def _plane_table(q: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """The 8x8 table `q` tiled over the trailing (h, w) axes of `plane`."""
+    h, w = plane.shape[-2:]
+    return np.tile(q, (h // 8, w // 8))
+
+
+def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[np.ndarray, ...]:
+    """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) int64 quantizer levels
+    in plane layout (N, h, w), each 8x8 block in its place in the plane.
 
     Extents are edge-replicated up to the subsampling mode's macroblock
     multiple before encoding.
@@ -63,23 +100,66 @@ def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[Enc
     n, _, h, w = imgs.shape
 
     planar = imgs.transpose(1, 0, 2, 3).reshape(3, -1)  # one channel-planar copy
-    ycc = (jpeg._RGB_TO_YCBCR @ planar + jpeg._YCBCR_OFFSET[:, None]).reshape(3, n, h, w)
+    ycc = jpeg._RGB_TO_YCBCR @ planar
+    ycc += jpeg._YCBCR_OFFSET[:, None]  # in place: a fresh array would cost page faults
+    ycc = ycc.reshape(3, n, h, w)
     ql, qc = jpeg.quant_matrices(quality_factor)
     planes = (
         (ycc[0], ql),
         (jpeg.subsample(ycc[1], mode), qc),
         (jpeg.subsample(ycc[2], mode), qc),
     )
-    y, cb, cr = (
-        jpeg.quantize(jpeg.dct8x8(jpeg.blockify(plane - 128.0)), q) for plane, q in planes
+    return tuple(
+        jpeg.quantize(_plane_dct(plane - 128.0), _plane_table(q, plane)) for plane, q in planes
     )
+
+
+def _sample_planes(y, cb, cr, quality_factor: int, out=(None, None, None)) -> list[np.ndarray]:
+    """(N, h, w) level planes -> YCbCr sample planes at stored resolution,
+    each plane's amplitudes checked first. A plane is written into its
+    entry of `out` where that is an array of its shape."""
+    ql, qc = jpeg.quant_matrices(quality_factor)
+    planes = []
+    for name, levels, q, dest in zip(("y", "cb", "cr"), (y, cb, cr), (ql, qc, qc), out):
+        table = _plane_table(q, levels)
+        jpeg.check_amplitudes(name, levels, table)
+        if dest is None or dest.shape != levels.shape:
+            dest = np.empty(levels.shape)
+        pix = _plane_idct(jpeg.dequantize(levels, table), dest)
+        pix += 128.0
+        planes.append(pix)
+    return planes
+
+
+def _decode_levels(y, cb, cr, quality_factor: int, mode: str) -> np.ndarray:
+    """(N, h, w) level planes of one setting -> (N, 3, H, W) float pixels in
+    [0, 255], a view of channel-planar (3, N, H, W) memory. Raises
+    ValueError naming the first plane with an out-of-range level."""
+    fv, fh = jpeg.mode_factors(mode)
+    n, h, w = y.shape
+    ycc = np.empty((3, n, h, w))
+    for plane, samples in zip(ycc, _sample_planes(y, cb, cr, quality_factor, ycc)):
+        if samples.shape != plane.shape:  # subsampled chroma: nearest-neighbor upsample
+            plane.reshape(n, h // fv, fv, w)[...] = np.repeat(samples, fh, axis=-1)[:, :, None]
+    m, off = jpeg.ycbcr_to_rgb_matrix()
+    rgb = m @ ycc.reshape(3, -1)
+    rgb += off[:, None]
+    return np.clip(rgb, 0.0, 255.0, out=rgb).reshape(3, n, h, w).transpose(1, 0, 2, 3)
+
+
+def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
+    """Reference encoder: (N, 3, H, W) pixels in [0, 255] -> one container
+    of quantized coefficients per image (`_encode_levels`, blocked)."""
+    levels = _encode_levels(images, quality_factor, mode)
+    _, h, w = levels[0].shape
+    y, cb, cr = (jpeg.blockify(plane) for plane in levels)
     meta = dict(width=w, height=h, quality_factor=int(quality_factor), mode=mode)
     return [EncodedImage(**meta, y=yi, cb=cbi, cr=cri) for yi, cbi, cri in zip(y, cb, cr)]
 
 
-def _decode_samples(encs: list[EncodedImage]) -> list[np.ndarray]:
-    """Check containers of one setting and decode them to stacked (N, h, w)
-    YCbCr sample planes at stored resolution."""
+def _stacked_levels(encs: list[EncodedImage]) -> list[np.ndarray]:
+    """Check containers of one setting and stack each plane's levels in
+    plane layout (N, h, w)."""
     if not encs:
         raise ValueError("no containers to decode")
     setting = (encs[0].width, encs[0].height, encs[0].quality_factor, encs[0].mode)
@@ -89,36 +169,21 @@ def _decode_samples(encs: list[EncodedImage]) -> list[np.ndarray]:
             raise ValueError(
                 "containers in one batch must share extents, quality factor and mode"
             )
-    ql, qc = jpeg.quant_matrices(setting[2])
-    planes = []
-    for name, q in (("y", ql), ("cb", qc), ("cr", qc)):
-        levels = np.stack([getattr(enc, name) for enc in encs])
-        jpeg.check_amplitudes(name, levels, q)
-        pix = jpeg.idct8x8(jpeg.dequantize(levels, q)) + 128.0
-        planes.append(jpeg.unblockify(pix))
-    return planes
+    return [jpeg.unblockify(np.stack([getattr(enc, name) for enc in encs])) for name in ("y", "cb", "cr")]
 
 
 def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
     """Reference decoder: containers that share extents, quality factor and
     mode -> (N, 3, H, W) float pixels in [0, 255].
 
-    The result is a view of channel-planar (3, N, H, W) memory.
-    `fid.pixel_features` copies it to contiguous NCHW memory before it
-    sums, so the sweep's distances do not depend on this layout.
+    Every container is checked (`EncodedImage.check_layout`, plus the
+    amplitude bound on the stacked planes), then `_decode_levels` decodes
+    the stacked planes. The result is a view of channel-planar (3, N, H, W)
+    memory. `fid.pixel_features` copies it to contiguous NCHW memory before
+    it sums, so the sweep's distances do not depend on this layout.
     """
     encs = list(encs)
-    y, cb, cr = _decode_samples(encs)
-    fv, fh = jpeg.mode_factors(encs[0].mode)
-    n, h, w = y.shape
-    ycc = np.empty((3, n, h, w))
-    ycc[0] = y
-    for plane, chroma in zip(ycc[1:], (cb, cr)):  # nearest-neighbor upsample
-        plane.reshape(n, h // fv, fv, w)[...] = np.repeat(chroma, fh, axis=-1)[:, :, None]
-    m, off = jpeg.ycbcr_to_rgb_matrix()
-    rgb = m @ ycc.reshape(3, -1)
-    rgb += off[:, None]
-    return np.clip(rgb, 0.0, 255.0, out=rgb).reshape(3, n, h, w).transpose(1, 0, 2, 3)
+    return _decode_levels(*_stacked_levels(encs), encs[0].quality_factor, encs[0].mode)
 
 
 def encode_image(rgb: np.ndarray, quality_factor: int, mode: str) -> EncodedImage:
@@ -136,7 +201,7 @@ def decode_samples(enc: EncodedImage) -> tuple[np.ndarray, np.ndarray, np.ndarra
     interop comparisons against other decoders happen here rather than
     after color conversion.
     """
-    y, cb, cr = _decode_samples([enc])
+    y, cb, cr = _sample_planes(*_stacked_levels([enc]), enc.quality_factor)
     return y[0], cb[0], cr[0]
 
 

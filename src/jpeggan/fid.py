@@ -149,7 +149,9 @@ def compression_sweep(
 
     `images` is (n, 3, h, w) in [0, 255]. Returns one row per setting in
     the given order. Images pass through the codec and `extractor`
-    `_SWEEP_CHUNK` at a time, which bounds the memory a setting needs.
+    `_SWEEP_CHUNK` at a time, which bounds the memory a setting needs. Each
+    chunk's level planes go from `codec._encode_levels` straight to
+    `codec._decode_levels`, with no per-image containers to build and check.
     """
     modes = list(modes)
     settings = [(qf, mode) for qf in quality_factors for mode in modes]
@@ -167,7 +169,7 @@ def compression_sweep(
         feats = []
         for start in range(0, n, _SWEEP_CHUNK):
             chunk = images[start : start + _SWEEP_CHUNK]
-            degraded = codec.decode_batch(codec.encode_batch(chunk, qf, mode))
+            degraded = codec._decode_levels(*codec._encode_levels(chunk, qf, mode), qf, mode)
             feats.append(extractor(degraded[:, :, :h, :w]))
         stats = FidStats.from_features(np.concatenate(feats))
         rows.append((int(qf), str(mode), frechet_distance(reference, stats)))

@@ -31,7 +31,6 @@ saving writes those and loading checks every key and shape, then fills them.
 
 from __future__ import annotations
 
-import copy
 import csv
 import ctypes
 import math
@@ -304,27 +303,37 @@ def save_checkpoint(path, step: int, groups: dict[str, dict[str, Tensor]], optim
     networks.save_params(path, _layout(step, groups, optimizers))
 
 
-def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
-    """Load `groups` and `optimizers` from `path` in place and return its
-    step; a checkpoint that lacks any array or holds one in another shape
-    changes nothing."""
-    live = _layout(0, groups, optimizers)
-    arrays = networks.load_params(path)
+def _read_checked(source, live: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrays of `source`, a checkpoint path or the arrays
+    `networks.load_params` read from one, after checking that every key of
+    `live` is there in its shape."""
+    arrays = source if isinstance(source, dict) else networks.load_params(source)
     for key, a in live.items():
         if key not in arrays:
             raise ValueError(f"checkpoint missing {key}")
         if arrays[key].shape != a.shape:
             raise ValueError(f"{key}: shape {arrays[key].shape} != {a.shape}")
+    return arrays
+
+
+def load_checkpoint(source, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
+    """Load `groups` and `optimizers` in place from `source` (a path, or the
+    arrays `check_resume` returned) and return its step; a checkpoint that
+    lacks any array or holds one in another shape changes nothing."""
+    live = _layout(0, groups, optimizers)
+    arrays = _read_checked(source, live)
     for key, a in live.items():
         a[...] = arrays[key]
     return int(live["step"])
 
 
-def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> None:
-    """Raise OSError or ValueError unless `train` (given `anchor`) or
-    `pretrain_baseline` (without) can resume from checkpoint `path`."""
-    groups = copy.deepcopy(_phase_groups(gen, disc, anchor))
-    load_checkpoint(path, groups, _optimizers(groups, TrainConfig()))
+def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> dict[str, np.ndarray]:
+    """Read checkpoint `path` and return its arrays, for `resume_from`;
+    raise OSError or ValueError unless `train` (given `anchor`) or
+    `pretrain_baseline` (without) can resume from it. Nothing is loaded
+    into the networks."""
+    groups = _phase_groups(gen, disc, anchor)
+    return _read_checked(path, _layout(0, groups, _optimizers(groups, TrainConfig())))
 
 
 def _sample_batch(data: np.ndarray, streams: RngStreams, tag: str, index: int, n: int):
@@ -367,7 +376,7 @@ def _run_adversarial(
     phase: str,
     csv_path,
     checkpoint_path,
-    resume_from,
+    resume_from,  # None, a checkpoint path, or the arrays `check_resume` returned
 ) -> list[LossReport]:
     cfg.validate()
     if data.shape[0] == 0:

@@ -186,6 +186,21 @@ class TestTrainingCommands:
         assert (half / "loss.csv").read_bytes() == (full / "loss.csv").read_bytes()
         assert (half / "checkpoint.params").read_bytes() == (full / "checkpoint.params").read_bytes()
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_resume_reads_its_checkpoint_once(self, tmp_path, tiny_config, monkeypatch, command):
+        base = ("synthetic", "--config", tiny_config, "--seed", 3)
+        first = tmp_path / "first"
+        assert run("pretrain", *base, "--out", first) == 0
+        if command == "train":
+            pre, first = first, tmp_path / "joint"
+            assert run("train", *base, "--pretrained", pre / "checkpoint.params", "--out", first) == 0
+        reads = []
+        load_params = networks.load_params
+        monkeypatch.setattr(networks, "load_params", lambda path: reads.append(path) or load_params(path))
+        checkpoint = first / "checkpoint.params"
+        assert run(command, *base, "--steps", 3, "--resume", checkpoint, "--out", tmp_path / "resumed") == 0
+        assert reads == [str(checkpoint)]
+
     def test_train_requires_exactly_one_source(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"
         assert run("train", "synthetic", "--config", tiny_config, "--out", out) == 1
@@ -328,7 +343,7 @@ class TestCodecCommands:
             # maxval 1, so the sample 2 reads as 510
             "encode-rejected": ("encode", "x.ppm", b"P6\n1 1\n1\n\x02\x00\x00",
                                 "{p}: pixel values outside [0, 255]"),
-            "decode-missing": ("decode", "x.jpg", None, "{p}: [Errno 2] No such file or directory: '{p}'"),
+            "decode-missing": ("decode", "x.jpg", None, "[Errno 2] No such file or directory: '{p}'"),
             "decode-rejected": ("decode", "x.jpg", b"\x00\x01\x02",
                                 "{p}: offset 0: SOI differs from the header jpeggan writes"),
         }[case]
@@ -343,6 +358,12 @@ class TestCodecCommands:
         assert run(command, good, path, "--out", out) == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {message.format(p=path)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("encode", "x.ppm"), ("decode", "x.jpg")])
+    def test_missing_input_names_its_path_once(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        assert run(command, path, "--out", tmp_path / "o") == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jpg"

@@ -129,6 +129,50 @@ class TestBatchedCodec:
             assert dist == fid.frechet_distance(reference, stats)
 
 
+class TestPlaneCore:
+    """The stacked-level core that `encode_batch`, `decode_batch` and the
+    sweep share, against the blockwise primitives and the containers."""
+
+    @pytest.mark.parametrize("n", [1, 2, 128])
+    def test_plane_dct_and_inverse_match_blockwise(self, n):
+        rng = np.random.default_rng(n)
+        for by in range(1, 9):
+            for bx in range(1, 9):
+                plane = rng.uniform(-128.0, 128.0, (n, 8 * by, 8 * bx))
+                coef = rng.normal(0.0, 300.0, plane.shape)
+                blockwise = jpeg.unblockify(jpeg.dct8x8(jpeg.blockify(plane)))
+                assert np.array_equal(codec._plane_dct(plane), blockwise), (by, bx)
+                inverse = jpeg.unblockify(jpeg.idct8x8(jpeg.blockify(coef)))
+                assert np.array_equal(codec._plane_idct(coef, np.empty_like(coef)), inverse), (by, bx)
+
+    @pytest.mark.parametrize("mode", jpeg.MODES)
+    @pytest.mark.parametrize("qf", [100, 75, 25, 3, 1])
+    def test_levels_match_containers_and_oracle(self, qf, mode):
+        rng = np.random.default_rng(qf)
+        for (h, w), n in (((32, 32), 5), ((64, 64), 2), ((40, 24), 3), ((9, 13), 1)):
+            images = rng.uniform(0.0, 255.0, (n, 3, h, w))
+            levels = codec._encode_levels(images, qf, mode)
+            pixels = codec._decode_levels(*levels, qf, mode)
+            encs = codec.encode_batch(images, qf, mode)
+            assert np.array_equal(pixels, codec.decode_batch(encs))
+            for i, (img, enc) in enumerate(zip(images, encs)):
+                want = oracle_encode(img.transpose(1, 2, 0), qf, mode)
+                for name, plane, blocks in zip(("y", "cb", "cr"), levels, want):
+                    assert plane.dtype == np.int64
+                    assert np.array_equal(jpeg.blockify(plane[i]), blocks), (h, w, name)
+                    assert np.array_equal(getattr(enc, name), blocks), (h, w, name)
+                assert np.array_equal(pixels[i], oracle_decode(want, qf, mode).transpose(2, 0, 1)), (h, w)
+
+    @pytest.mark.parametrize("plane", [0, 1, 2], ids=["y", "cb", "cr"])
+    @pytest.mark.parametrize("level", [10_000, -10_000])
+    def test_decode_levels_names_an_out_of_range_plane(self, corpus, plane, level):
+        levels = [lv.copy() for lv in codec._encode_levels(corpus[:2], 75, "4:2:0")]
+        levels[plane][1, 3, 5] = level
+        name = ("y", "cb", "cr")[plane]
+        with pytest.raises(ValueError, match=f"^{name} plane has out-of-range amplitudes$"):
+            codec._decode_levels(*levels, 75, "4:2:0")
+
+
 def digest(x):
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()
 

@@ -197,8 +197,8 @@ class TestExtractorsAndSweep:
     )
     def test_sweep_checks_every_setting_before_coding(self, monkeypatch, qfs, modes):
         calls = []
-        real = codec.encode_batch
-        monkeypatch.setattr(codec, "encode_batch", lambda *a: calls.append(a) or real(*a))
+        real = codec._encode_levels
+        monkeypatch.setattr(codec, "_encode_levels", lambda *a: calls.append(a) or real(*a))
         images = np.random.default_rng(14).uniform(0, 255, size=(4, 3, 16, 16))
         with pytest.raises(ValueError):
             fid.compression_sweep(images, qfs, modes)

@@ -20,8 +20,9 @@ leaves behind (null where it leaves none), and their medians. Since
 `setup_s` verdict that comes from set-up spread from one that comes from
 host drift. It also holds the line count of each side's `src/` Python files
 and their difference, in total and per file. After writing the file, the
-script prints one line per workload and end-to-end metric (`verdict_lines`)
-and one per `src/` file whose line count changed.
+script prints one line per workload and end-to-end metric (`verdict_lines`),
+then per workload the five traced per-layer times that moved most
+(`layer_lines`), then one line per `src/` file whose line count changed.
 """
 
 from __future__ import annotations
@@ -96,6 +97,23 @@ def verdict_lines(workloads: dict) -> list[str]:
             rel = f" ({100.0 * m['median_change'] / parent:+.1f} %)" if parent else ""
             lines.append(f"{w} {name}: {parent:.4g} -> {change:.4g}{rel}, won {m['won']}/{len(m['pairs'])}, "
                          f"{m['verdict']}, gain {'yes' if m['gain'] else 'no'}")
+    return lines
+
+
+def layer_lines(traced: dict, top: int = 5) -> list[str]:
+    """Per workload of a `traced` result, one line for each of the `top`
+    per-layer `*.ms` metrics that moved most between parent and change,
+    largest absolute difference first (ties in name order); a metric that
+    did not move is left out. A span the change no longer calls reads 0
+    on its side, so its whole parent time shows here."""
+    lines = []
+    for w, sides in traced.items():
+        if w == "seed":
+            continue
+        parent, change = sides["parent"], sides["change"]
+        moved = [n for n in parent if n.endswith(".ms") and n in change and change[n] != parent[n]]
+        for n in sorted(moved, key=lambda n: (-abs(change[n] - parent[n]), n))[:top]:
+            lines.append(f"{w} traced {n}: {parent[n]:.4g} -> {change[n]:.4g} ({change[n] - parent[n]:+.4g})")
     return lines
 
 
@@ -263,7 +281,7 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(f"# wrote {path}")
-    print("\n".join(verdict_lines(report["workloads"])))
+    print("\n".join(verdict_lines(report["workloads"]) + layer_lines(report["traced"])))
     for path, lines in report["src_file_lines"].items():
         if lines["net"]:
             print(f"{path}: {lines['parent']} -> {lines['change']} lines ({lines['net']:+d})")
