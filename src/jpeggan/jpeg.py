@@ -199,7 +199,9 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def quantize(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """coef / q, rounded half away from zero, as int64 (trailing 8x8 axes)."""
+    """coef / q, rounded half away from zero, as int64, elementwise: `coef`
+    in trailing 8x8 blocks with the 8x8 table, or whole planes with the
+    table tiled over them."""
     return round_half_away(np.asarray(coef, dtype=np.float64) / q).astype(np.int64)
 
 
@@ -277,7 +279,8 @@ def unblockify(blocks: np.ndarray) -> np.ndarray:
 def check_amplitudes(name: str, levels: np.ndarray, q: np.ndarray) -> None:
     """Reject quantizer levels whose amplitudes leave the container's range.
 
-    `levels` has trailing 8x8 axes and any leading ones; `q` is the table.
+    `levels` and `q` need only broadcast elementwise: levels in trailing 8x8
+    blocks with the 8x8 table, or whole planes with the table tiled over them.
     A level may reach (1024 + 8 q) // q in magnitude, the largest whose
     amplitude |level * q| stays within 1024 + 8 q. Levels are compared with
     that bound rather than multiplied, so no product can wrap around.

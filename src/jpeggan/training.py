@@ -303,28 +303,34 @@ def save_checkpoint(path, step: int, groups: dict[str, dict[str, Tensor]], optim
     networks.save_params(path, _layout(step, groups, optimizers))
 
 
-def _read_checked(source, live: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The arrays of `source`, a checkpoint path or the arrays
-    `networks.load_params` read from one, after checking that every key of
-    `live` is there in its shape."""
-    arrays = source if isinstance(source, dict) else networks.load_params(source)
+def _check_arrays(arrays: dict[str, np.ndarray], live: dict[str, np.ndarray]) -> None:
+    """Raise ValueError unless every key of `live` is in checkpoint
+    `arrays` in its shape."""
     for key, a in live.items():
         if key not in arrays:
             raise ValueError(f"checkpoint missing {key}")
         if arrays[key].shape != a.shape:
             raise ValueError(f"{key}: shape {arrays[key].shape} != {a.shape}")
-    return arrays
 
 
-def load_checkpoint(source, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
-    """Load `groups` and `optimizers` in place from `source` (a path, or the
-    arrays `check_resume` returned) and return its step; a checkpoint that
-    lacks any array or holds one in another shape changes nothing."""
+def _load_arrays(arrays: dict[str, np.ndarray], groups, optimizers: dict[str, Adam]) -> int:
+    """Load `groups` and `optimizers` in place from checkpoint `arrays` and
+    return its step; arrays that lack a key or hold one in another shape
+    change nothing. Once loaded, `arrays` is emptied, so that no copy of the
+    checkpoint outlives the load."""
     live = _layout(0, groups, optimizers)
-    arrays = _read_checked(source, live)
+    _check_arrays(arrays, live)
     for key, a in live.items():
         a[...] = arrays[key]
+    arrays.clear()
     return int(live["step"])
+
+
+def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict[str, Adam]) -> int:
+    """Load `groups` and `optimizers` from `path` in place and return its
+    step; a checkpoint that lacks any array or holds one in another shape
+    changes nothing."""
+    return _load_arrays(networks.load_params(path), groups, optimizers)
 
 
 def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> dict[str, np.ndarray]:
@@ -333,7 +339,9 @@ def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, an
     `pretrain_baseline` (without) can resume from it. Nothing is loaded
     into the networks."""
     groups = _phase_groups(gen, disc, anchor)
-    return _read_checked(path, _layout(0, groups, _optimizers(groups, TrainConfig())))
+    arrays = networks.load_params(path)
+    _check_arrays(arrays, _layout(0, groups, _optimizers(groups, TrainConfig())))
+    return arrays
 
 
 def _sample_batch(data: np.ndarray, streams: RngStreams, tag: str, index: int, n: int):
@@ -376,7 +384,7 @@ def _run_adversarial(
     phase: str,
     csv_path,
     checkpoint_path,
-    resume_from,  # None, a checkpoint path, or the arrays `check_resume` returned
+    resume_from,  # None, or the arrays `check_resume` returned; emptied once loaded
 ) -> list[LossReport]:
     cfg.validate()
     if data.shape[0] == 0:
@@ -386,7 +394,7 @@ def _run_adversarial(
     gen_params, disc_params = groups["gen"], groups["disc"]
     optimizers = _optimizers(groups, cfg)
     opt_g, opt_d = optimizers["adam_g"], optimizers["adam_d"]
-    start_step = 0 if resume_from is None else load_checkpoint(resume_from, groups, optimizers)
+    start_step = 0 if resume_from is None else _load_arrays(resume_from, groups, optimizers)
     log = _CsvLog(csv_path, start_step)
     reports: list[LossReport] = []
     last_checkpoint = start_step if start_step > 0 else None
@@ -466,6 +474,8 @@ def train(
     """Joint phase: coefficient generator vs critic, anchored to `anchor`.
 
     `data` is (n, 3, h, w) pixels in [0, 255]. The anchor never updates.
+    `resume_from`, if given, is the dict `check_resume` returned for these
+    networks; the run continues from its step and empties it once loaded.
     """
 
     def make_fake(z_t: Tensor) -> Tensor:
@@ -497,6 +507,7 @@ def pretrain_baseline(
 
     Trains `baseline`'s trunk through its pixel head only; the coefficient
     paths are untouched (so there is never an anchor term here).
+    `resume_from` is as for `train`.
     """
 
     def make_fake(z_t: Tensor) -> Tensor:

@@ -188,17 +188,9 @@ class TestLayerLines:
                   "same.ms": 7.0, "a.calls": 900.0, "trace.overhead_ms": 90.0}
         change = {"a.ms": 0.0, "b.ms": 12.0, "c.ms": 4.0, "d.ms": 4.0, "e.ms": 1.0, "f.ms": 2.5,
                   "same.ms": 7.0, "a.calls": 0.0, "trace.overhead_ms": 1.0}
-        traced = {"seed": 7, "sweep": {"parent": parent, "change": change},
-                  "still": {"parent": {"x.ms": 1.0}, "change": {"x.ms": 1.0}}}
-        assert bench_ab.layer_lines(traced) == [
-            "sweep traced a.ms: 50 -> 0 (-50)",
-            "sweep traced d.ms: 1 -> 4 (+3)",
-            "sweep traced b.ms: 10 -> 12 (+2)",
-            "sweep traced e.ms: 3 -> 1 (-2)",
-            "sweep traced c.ms: 5 -> 4 (-1)",
-        ]
-
-    def test_top_bounds_each_workload(self):
-        sides = {"parent": {"a.ms": 1.0, "b.ms": 2.0}, "change": {"a.ms": 2.0, "b.ms": 0.0}}
-        assert bench_ab.layer_lines({"w": sides, "v": sides}, top=1) == [
-            "w traced b.ms: 2 -> 0 (-2)", "v traced b.ms: 2 -> 0 (-2)"]
+        sides = {"parent": parent, "change": change}
+        traced = {"seed": 7, "sweep": sides, "still": {"parent": {"x.ms": 1.0}, "change": {"x.ms": 1.0}},
+                  "again": sides}
+        five = ["a.ms: 50 -> 0 (-50)", "d.ms: 1 -> 4 (+3)", "b.ms: 10 -> 12 (+2)", "e.ms: 3 -> 1 (-2)",
+                "c.ms: 5 -> 4 (-1)"]
+        assert bench_ab.layer_lines(traced) == [f"{w} traced {line}" for w in ("sweep", "again") for line in five]

@@ -363,8 +363,9 @@ class TestTrainingLoops:
             training.train(
                 gen_b, anchor_b, disc_b, data, cfg(2), RngStreams(9), checkpoint_path=ckpt
             )
+            arrays = training.check_resume(ckpt, gen_b, disc_b, anchor_b)
             resumed = training.train(
-                gen_b, anchor_b, disc_b, data, cfg(4), RngStreams(9), resume_from=ckpt
+                gen_b, anchor_b, disc_b, data, cfg(4), RngStreams(9), resume_from=arrays
             )
             assert [r.step for r in resumed] == [2, 3]
             for r_full, r_res in zip(full[2:], resumed):
@@ -385,11 +386,24 @@ class TestTrainingLoops:
         training.train(gen, anchor, disc, data, self.small_cfg(steps=1), RngStreams(9),
                        csv_path=log, checkpoint_path=older)
         training.train(gen, anchor, disc, data, self.small_cfg(steps=3), RngStreams(9),
-                       csv_path=log, resume_from=older)  # logs steps 1 and 2
+                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor))  # logs 1, 2
         gen, anchor, disc = build_nets(5)
         training.train(gen, anchor, disc, data, self.small_cfg(steps=4), RngStreams(9),
-                       csv_path=log, resume_from=older)
+                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor))
         assert log.read_bytes() == full.read_bytes()
+
+    def test_resume_frees_the_checkpoint_before_step_0(self, tmp_path, monkeypatch):
+        gen, _, disc = build_nets(5)
+        ckpt = tmp_path / "ck.params"
+        training.pretrain_baseline(gen, disc, self.data(), self.small_cfg(steps=1), RngStreams(9),
+                                   checkpoint_path=ckpt)
+        arrays = training.check_resume(ckpt, gen, disc)
+        refs = [weakref.ref(a) for a in arrays.values()]
+        alive = []
+        monkeypatch.setattr(training, "_keep_freed_memory", lambda: alive.append(sum(r() is not None for r in refs)))
+        training.pretrain_baseline(gen, disc, self.data(), self.small_cfg(steps=2), RngStreams(9),
+                                   resume_from=arrays)
+        assert refs and alive == [0] and arrays == {}
 
     def test_resume_keeps_earlier_lines_byte_for_byte(self, tmp_path):
         path = tmp_path / "loss.csv"

@@ -100,8 +100,8 @@ def verdict_lines(workloads: dict) -> list[str]:
     return lines
 
 
-def layer_lines(traced: dict, top: int = 5) -> list[str]:
-    """Per workload of a `traced` result, one line for each of the `top`
+def layer_lines(traced: dict) -> list[str]:
+    """Per workload of a `traced` result, one line for each of the five
     per-layer `*.ms` metrics that moved most between parent and change,
     largest absolute difference first (ties in name order); a metric that
     did not move is left out. A span the change no longer calls reads 0
@@ -112,7 +112,7 @@ def layer_lines(traced: dict, top: int = 5) -> list[str]:
             continue
         parent, change = sides["parent"], sides["change"]
         moved = [n for n in parent if n.endswith(".ms") and n in change and change[n] != parent[n]]
-        for n in sorted(moved, key=lambda n: (-abs(change[n] - parent[n]), n))[:top]:
+        for n in sorted(moved, key=lambda n: (-abs(change[n] - parent[n]), n))[:5]:
             lines.append(f"{w} traced {n}: {parent[n]:.4g} -> {change[n]:.4g} ({change[n] - parent[n]:+.4g})")
     return lines
 
