@@ -123,6 +123,18 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     Cheap, deterministic, and sensitive to exactly the kind of damage
     coarse quantization inflicts, which makes it a usable stand-in when
     no trained feature network is available.
+
+    Each pool cell of ph x pw pixels is summed in numpy's own order for
+    ``.mean(axis=(3, 5))`` over contiguous memory, so every feature keeps
+    that expression's bits: first each of the cell's ph rows over its pw
+    columns, then the ph row sums in order, then one division by ph * pw.
+    The one order rule is the pool width. Below 8, numpy adds a row's
+    columns left to right, so the row sums are pw - 1 adds of strided
+    column slices; these are elementwise, so any memory layout of the same
+    pixels gives the same features without a copy. From 8 up, numpy's
+    `sum` over a unit-stride row runs its pairwise order, so that `sum`
+    makes the row sums; a batch whose rows are not unit-stride (a
+    Fortran-order copy) is copied to contiguous memory first.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or images.shape[1] != 3:
@@ -130,10 +142,25 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     n, _, h, w = images.shape
     if h % 8 or w % 8:
         raise ValueError(f"extent ({h}, {w}) not a multiple of 8")
-    # the pooled sums run in memory order: fix it, so any layout of the same
-    # pixels gives the same features
-    pooled = np.ascontiguousarray(images).reshape(n, 3, 8, h // 8, 8, w // 8).mean(axis=(3, 5))
+    ph, pw = h // 8, w // 8
+    if pw < 8:
+        cells = images.reshape(n, 3, 8, ph, 8, pw)
+        rows = _sum_in_order([cells[..., j] for j in range(pw)])
+    else:
+        if images.strides[-1] != images.itemsize:
+            images = np.ascontiguousarray(images)
+        rows = images.reshape(n, 3, 8, ph, 8, pw).sum(axis=-1)
+    pooled = _sum_in_order([rows[:, :, :, i] for i in range(ph)])
+    pooled /= ph * pw
     return pooled.reshape(n, 192)
+
+
+def _sum_in_order(parts: list[np.ndarray]) -> np.ndarray:
+    """parts[0] + parts[1] + ..., added left to right into one fresh array."""
+    total = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
+    for part in parts[2:]:
+        total += part
+    return total
 
 
 _SWEEP_CHUNK = 128  # images per codec pass in `compression_sweep`

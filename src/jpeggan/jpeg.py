@@ -201,12 +201,20 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 def quantize(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
     """coef / q, rounded half away from zero, as int64, elementwise: `coef`
     in trailing 8x8 blocks with the 8x8 table, or whole planes with the
-    table tiled over them."""
-    return round_half_away(np.asarray(coef, dtype=np.float64) / q).astype(np.int64)
+    table tiled over them.
+
+    Adding copysign(0.5, x) to x = coef / q rounds |x| + 0.5 the same way for
+    either sign, and the int64 cast truncates toward zero, so the levels are
+    `round_half_away`'s floor(|x| + 0.5) * sign(x), bit for bit, in three
+    passes and the cast.
+    """
+    x = np.divide(coef, q, dtype=np.float64)
+    x += np.copysign(0.5, x)
+    return x.astype(np.int64)
 
 
 def dequantize(levels: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.asarray(levels, dtype=np.float64) * q
+    return np.multiply(levels, q, dtype=np.float64)
 
 
 def mode_factors(mode: str) -> tuple[int, int]:

@@ -218,6 +218,25 @@ class TestPinnedBits:
         distances = np.array([d for _, _, d in rows], dtype=np.float64)
         assert digest(distances) == "95ba3af8439051167113ca7d1abc4b8d6592bd536a5ba0824031e4c4be94b180"
 
+    # pinned before pooling moved to slice sums; at pool widths 8 and 16 the
+    # row sums keep numpy's pairwise order
+    @pytest.mark.parametrize(
+        "seed, count, size, features_digest",
+        [
+            (45, 6, 64, "b1390f68a1e6ed3f406daa1d6cd23171fbadf8a7d08fb65d691d562f2cebb0c5"),
+            (46, 4, 128, "c65d2337c1383cad53735bb7d36375b9bc7e0ca98a921518c7b55fe1afd6fd87"),
+        ],
+    )
+    def test_wide_pool_features(self, seed, count, size, features_digest):
+        images = datasets.synthetic_dataset(seed, count, size).astype(np.float64)
+        assert digest(fid.pixel_features(images)) == features_digest
+
+    def test_wide_pool_sweep_distances(self):
+        images = datasets.synthetic_dataset(47, 60, 64).astype(np.float64)
+        rows = fid.compression_sweep(images, [90, 50, 20], jpeg.MODES)
+        distances = np.array([d for _, _, d in rows], dtype=np.float64)
+        assert digest(distances) == "49b944b1a938e22a33b1598eee0e5f6cee308d51b23940c18a039d6cd3b4f041"
+
 
 class TestReferenceCodec:
     def test_all_zero_coefficients_decode_to_mid_gray(self):

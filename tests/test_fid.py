@@ -6,6 +6,13 @@ import pytest
 from jpeggan import codec, fid
 
 
+def mean_pool_oracle(images):
+    """`pixel_features` as first written: numpy's mean over a contiguous copy."""
+    n, _, h, w = images.shape
+    cells = np.ascontiguousarray(images).reshape(n, 3, 8, h // 8, 8, w // 8)
+    return cells.mean(axis=(3, 5)).reshape(n, 192)
+
+
 def gaussian_features(rng, n, mean, cov_chol):
     z = rng.standard_normal((n, len(mean)))
     return mean + z @ cov_chol.T
@@ -158,6 +165,24 @@ class TestExtractorsAndSweep:
         want = fid.pixel_features(x)
         for arr in (nhwc, np.asfortranarray(x)):
             assert np.array_equal(fid.pixel_features(arr), want)
+
+    @pytest.mark.parametrize("layout", ["c-order", "channel-planar", "fortran", "cropped-decode"])
+    def test_pixel_features_match_contiguous_mean_oracle(self, layout):
+        extents = [1, 2, 3, 4, 5, 8, 16]
+        rng = np.random.default_rng(15)
+        for ph in extents:
+            for pw in extents:
+                x = rng.uniform(0, 255, size=(3, 3, 8 * ph, 8 * pw))
+                if layout == "channel-planar":
+                    x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+                elif layout == "fortran":
+                    x = np.asfortranarray(x)
+                elif layout == "cropped-decode":
+                    # the sweep's crop of a decoded batch padded to 4:2:0 macroblocks
+                    decoded = codec._decode_levels(*codec._encode_levels(x, 75, "4:2:0"), 75, "4:2:0")
+                    x = decoded[:, :, : 8 * ph, : 8 * pw]
+                got = fid.pixel_features(x)
+                assert got.tobytes() == mean_pool_oracle(x).tobytes(), (ph, pw)
 
     def test_pixel_features_rejects(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,51 @@ class TestQuantize:
         lv = jpeg.quantize(c, np.ones((8, 8)))
         assert np.array_equal(lv, c.astype(np.int64))
 
+    @staticmethod
+    def quantize_oracle(coef, q):
+        return jpeg.round_half_away(np.asarray(coef, dtype=np.float64) / q).astype(np.int64)
+
+    @staticmethod
+    def dequantize_oracle(levels, q):
+        return np.asarray(levels, dtype=np.float64) * q
+
+    def assert_same_bits(self, got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_quantize_matches_formula_oracle(self):
+        rng = np.random.default_rng(16)
+        ql, qc = jpeg.quant_matrices(30)
+        plane = codec._plane_table(ql, np.empty((24, 40)))
+        ties = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5])
+        cases = [
+            (rng.choice(ties, size=(7, 24, 40)) * plane, plane),  # exact ties of coef / q
+            (np.array([0.0, -0.0, np.nextafter(0.5, 0), -np.nextafter(0.5, 0)]), 1),
+            (rng.normal(0.0, 300.0, size=(5, 24, 40)), plane),
+            (rng.normal(0.0, 300.0, size=(5, 24, 40)).astype(np.float32), plane),
+            (rng.normal(0.0, 300.0, size=(9, 8, 8)), qc),
+        ]
+        for coef, q in cases:
+            self.assert_same_bits(jpeg.quantize(coef, q), self.quantize_oracle(coef, q))
+
+    def test_levels_at_amplitude_bound_match_formula_oracles(self):
+        ql, qc = jpeg.quant_matrices(90)
+        for q in (ql, qc):
+            plane = codec._plane_table(q, np.empty((16, 24)))
+            bound = (1024 + 8 * plane) // plane
+            levels = np.stack([bound, -bound])
+            jpeg.check_amplitudes("y", levels, plane)
+            amplitudes = jpeg.dequantize(levels, plane)
+            self.assert_same_bits(amplitudes, self.dequantize_oracle(levels, plane))
+            self.assert_same_bits(jpeg.quantize(amplitudes, plane), levels)
+            self.assert_same_bits(jpeg.quantize(amplitudes, plane), self.quantize_oracle(amplitudes, plane))
+
+    def test_dequantize_rounds_large_levels_as_the_oracle(self):
+        ql, _ = jpeg.quant_matrices(50)
+        levels = 2**53 + np.arange(1, 129, dtype=np.int64).reshape(2, 8, 8)
+        levels[1] *= -3
+        self.assert_same_bits(jpeg.dequantize(levels, ql), self.dequantize_oracle(levels, ql))
+
     def test_error_bound(self):
         rng = np.random.default_rng(6)
         ql, _ = jpeg.quant_matrices(40)
