@@ -179,7 +179,7 @@ def decode_batch(encs: list[EncodedImage]) -> np.ndarray:
     Every container is checked (`EncodedImage.check_layout`, plus the
     amplitude bound on the stacked planes), then `_decode_levels` decodes
     the stacked planes. The result is a view of channel-planar (3, N, H, W)
-    memory. `fid.pixel_features` pools it in place, in an order that no
+    memory. `fid.pixel_features` pools it without a copy, in an order no
     layout changes, so the sweep's distances do not depend on this layout.
     """
     encs = list(encs)

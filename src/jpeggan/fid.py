@@ -128,7 +128,7 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     ``.mean(axis=(3, 5))`` over contiguous memory, so every feature keeps
     that expression's bits: first each of the cell's ph rows over its pw
     columns, then the ph row sums in order, then one division by ph * pw.
-    The one order rule is the pool width. Below 8, numpy adds a row's
+    The order depends on the pool width alone. Below 8, numpy adds a row's
     columns left to right, so the row sums are pw - 1 adds of strided
     column slices; these are elementwise, so any memory layout of the same
     pixels gives the same features without a copy. From 8 up, numpy's
@@ -143,13 +143,10 @@ def pixel_features(images: np.ndarray) -> np.ndarray:
     if h % 8 or w % 8:
         raise ValueError(f"extent ({h}, {w}) not a multiple of 8")
     ph, pw = h // 8, w // 8
-    if pw < 8:
-        cells = images.reshape(n, 3, 8, ph, 8, pw)
-        rows = _sum_in_order([cells[..., j] for j in range(pw)])
-    else:
-        if images.strides[-1] != images.itemsize:
-            images = np.ascontiguousarray(images)
-        rows = images.reshape(n, 3, 8, ph, 8, pw).sum(axis=-1)
+    if pw >= 8 and images.strides[-1] != images.itemsize:
+        images = np.ascontiguousarray(images)
+    cells = images.reshape(n, 3, 8, ph, 8, pw)
+    rows = cells.sum(axis=-1) if pw >= 8 else _sum_in_order([cells[..., j] for j in range(pw)])
     pooled = _sum_in_order([rows[:, :, :, i] for i in range(ph)])
     pooled /= ph * pw
     return pooled.reshape(n, 192)
