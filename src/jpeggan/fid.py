@@ -1,10 +1,10 @@
-"""Frechet distance between feature distributions, with streaming moments.
+"""Frechet distance between feature distributions.
 
 The distance is computed between Gaussians fitted to feature vectors:
 ``d = |mu_a - mu_b|^2 + tr(Ca + Cb - 2 (Ca^1/2 Cb Ca^1/2)^1/2)``.
-Moments accumulate in O(d^2) memory, so feature sets never need to be
-held in full. A `FidStats` keeps its covariance's square root until its next
-`update`, so a sweep takes its reference's root once.
+A `FidStats` holds one feature set's mean and unbiased covariance, and
+takes its covariance's square root once, when a distance first needs it,
+so a sweep takes its reference's root once.
 """
 
 from __future__ import annotations
@@ -27,47 +27,24 @@ __all__ = [
 
 
 class FidStats:
-    """Running mean and unbiased covariance of feature vectors."""
+    """Mean and unbiased covariance of (n, dim) feature vectors, n >= 2."""
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"feature dimension must be positive, got {dim}")
-        self.dim = dim
-        self.count = 0
-        self._sum = np.zeros(dim, dtype=np.float64)
-        self._outer = np.zeros((dim, dim), dtype=np.float64)
+    def __init__(self, feats: np.ndarray):
+        feats = np.asarray(feats, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[1] < 1:
+            raise ValueError(f"expected (n, dim) features, got {feats.shape}")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("non-finite feature values")
+        count = feats.shape[0]
+        if count < 2:
+            raise ValueError("need at least two samples for covariance")
+        self.mean = feats.sum(axis=0) / count
+        cov = (feats.T @ feats - count * np.outer(self.mean, self.mean)) / (count - 1)
+        self.covariance = (cov + cov.T) / 2.0  # kill accumulation asymmetry
 
     @classmethod
     def from_features(cls, feats: np.ndarray) -> "FidStats":
-        feats = np.asarray(feats, dtype=np.float64)
-        stats = cls(feats.shape[-1])
-        stats.update(feats)
-        return stats
-
-    def update(self, feats: np.ndarray) -> None:
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) features, got {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("non-finite feature values")
-        self.count += feats.shape[0]
-        self._sum += feats.sum(axis=0)
-        self._outer += feats.T @ feats
-        self.__dict__.pop("_covariance_root", None)  # drop the kept root
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.count < 1:
-            raise ValueError("no samples accumulated")
-        return self._sum / self.count
-
-    @property
-    def covariance(self) -> np.ndarray:
-        if self.count < 2:
-            raise ValueError("need at least two samples for covariance")
-        mu = self.mean
-        cov = (self._outer - self.count * np.outer(mu, mu)) / (self.count - 1)
-        return (cov + cov.T) / 2.0  # kill accumulation asymmetry
+        return cls(feats)
 
     @cached_property
     def _covariance_root(self) -> np.ndarray:

@@ -95,14 +95,14 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """k x k convolution, zero padded by (k - 1) // 2 on every side."""
+    """k x k same convolution (`T.conv2d`) with a bias; k must be odd."""
 
     def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator):
         self.w = he_uniform(rng, (out_ch, in_ch, k, k), in_ch * k * k)
         self.b = T.zeros((out_ch,), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, self.b, padding=(self.w.shape[-1] - 1) // 2)
+        return T.conv2d(x, self.w, self.b)
 
 
 class LocallyConnected(Module):

@@ -14,6 +14,7 @@ except the last residual block which keeps the base width.
 from __future__ import annotations
 
 import copy
+import math
 import struct
 from dataclasses import dataclass
 
@@ -293,7 +294,7 @@ def to_encoded_images(out: GeneratorOutput) -> list[EncodedImage]:
 #
 # Layout: magic "JGNP", u32 version, u32 count, then per array:
 #   u16 name length, utf-8 name, u8 dtype code, u8 ndim, u32 dims...,
-#   raw little-endian row-major data.
+#   raw little-endian row-major data. No name appears twice.
 
 _MAGIC = b"JGNP"
 _VERSION = 1
@@ -341,19 +342,21 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             (nlen,) = struct.unpack_from("<H", blob, pos)
             pos += 2
             name = blob[pos : pos + nlen].decode("utf-8")
+            if name in out:
+                raise ValueError(f"corrupt parameter container: array {name!r} appears twice")
             pos += nlen
             code, ndim = struct.unpack_from("<BB", blob, pos)
             pos += 2
             dims = struct.unpack_from(f"<{ndim}I", blob, pos)
             pos += 4 * ndim
             dt = _CODE_DTYPES[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dt.itemsize if ndim else dt.itemsize
+            nbytes = math.prod(dims) * dt.itemsize  # Python ints: no int64 wrap
             raw = blob[pos : pos + nbytes]
             if len(raw) != nbytes:
                 raise ValueError("truncated container")
             pos += nbytes
             out[name] = np.frombuffer(raw, dtype=dt.newbyteorder("<")).astype(dt).reshape(dims)
-    except (struct.error, KeyError) as e:
+    except (struct.error, KeyError, UnicodeDecodeError) as e:
         raise ValueError(f"corrupt parameter container: {e}") from None
     if pos != len(blob):
         raise ValueError("trailing bytes after last array")

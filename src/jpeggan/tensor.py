@@ -12,19 +12,21 @@ A backward walk computes only the gradients that lead to a requested input:
 closures of ops with several parents take ``needs``, one flag per parent,
 and may return None in place of a gradient that is not needed.
 
-Convolution is one lowering: K-major patches times one GEMM, run over
-blocks of images sized by the GEMM that consumes them.  A narrow GEMM (few
-output channels) is bound by memory and gets a block that leaves room in
-L2 for BLAS's packed copy of it; a wide one is bound by compute and gets a
-block of an L2 or more.  Each block's patch matrix is copied from flat,
+Convolution is one kind, the "same" convolution: stride 1, odd kernel
+extents, zero padded by (k - 1)/2 on each side so the output keeps the
+input's extent.  It is one lowering: K-major patches times one GEMM, run
+over blocks of images sized by the GEMM that consumes them.  A narrow GEMM
+(few output channels) is bound by memory and gets a block that leaves room
+in L2 for BLAS's packed copy of it; a wide one is bound by compute and gets
+a block of an L2 or more.  Each block's patch matrix is copied from flat,
 zero-margined image planes through one strided view, a whole output image
 per kernel tap in one run; the few taps that wrap into a neighbouring row
 instead of the pad are zeroed after the copy.  No patch matrix outlives its
-call or is kept on the tape.  Its input gradient is again a convolution (of
-the output gradient with the flipped, in/out-swapped kernel) and its weight
-gradient is the tape op ``conv2d_weight``, which sums per-block GEMMs over
-the same patches.  Both are bilinear, so derivatives of every order close
-over ``conv2d``, ``conv2d_weight``, ``flip2d`` and ``permute``.
+call or is kept on the tape.  Its input gradient is again a same convolution
+(of the output gradient with the flipped, in/out-swapped kernel) and its
+weight gradient is the tape op ``conv2d_weight``, which sums per-block GEMMs
+over the same patches.  Both are bilinear, so derivatives of every order
+close over ``conv2d``, ``conv2d_weight``, ``flip2d`` and ``permute``.
 
 Dtype rule: a float32 or float64 ndarray keeps its dtype and is not copied;
 anything else becomes float64.  Ops compute in their operands' dtype, so an
@@ -462,29 +464,30 @@ def _block_images(N: int, K: int, L: int, O: int, itemsize: int) -> int:
     return max(1, min(N, budget // (K * L * itemsize)))
 
 
-def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, O: int):
+def _patch_blocks(x: np.ndarray, kh: int, kw: int, O: int):
     """Yield (s, e, cols) over groups of images s:e of an NCHW array.
 
-    `cols` is the K-major patch matrix of those images, (C*kh*kw, n*OH*OW)
-    with n = e - s: rows in (C, kh, kw) order, as an (O, C, kh, kw) kernel
-    flattens, columns in (n, OH, OW) order. `O` is the row count of the GEMM
-    that consumes each block, which sets the block size (`_block_images`).
+    `cols` is the K-major patch matrix of those images' same convolution,
+    (C*kh*kw, n*H*W) with n = e - s: rows in (C, kh, kw) order, as an
+    (O, C, kh, kw) kernel flattens, columns in (n, H, W) order. `O` is the
+    row count of the GEMM that consumes each block, which sets the block
+    size (`_block_images`).
 
-    Each image plane is copied flat, rows R = max(W, OW) apart, behind
-    ph*R + pw zeros and ahead of enough zeros for the last window. Kernel
-    tap (i, j) of output (oh, ow) then sits i*R + j + oh*R + ow into the
+    Each image plane is copied flat behind ph*W + pw zeros, ph = (kh-1)/2
+    and pw = (kw-1)/2, and ahead of enough zeros for the last window. Kernel
+    tap (i, j) of output (oh, ow) then sits i*W + j + oh*W + ow into the
     plane, so one strided view reads every tap's whole output image as a
-    single run of OH*OW elements (rows of OW when R > OW, a pad narrower
-    than (kw-1)/2). A tap whose column ow + j - pw falls outside [0, W)
-    reads the end of a neighbouring row instead of a pad zero; those
+    single run of H*W elements. A tap whose column ow + j - pw falls outside
+    [0, W) reads the end of a neighbouring row instead of a pad zero; those
     columns are zeroed after the copy. A 1x1 kernel needs no margin and
     copies x itself, channel-major. The planes and the patch matrix live in
     buffers that every block reuses, so `cols` is only valid until the next
     block is drawn.
     """
+    if not (kh % 2 and kw % 2):
+        raise ShapeError(f"conv2d: a {kh}x{kw} kernel has an even extent; same convolutions need odd ones")
     N, C, H, W = x.shape
-    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    K, L = C * kh * kw, OH * OW
+    K, L = C * kh * kw, H * W
     nb = _block_images(N, K, L, O, x.itemsize)
     buf = np.empty(K * nb * L, x.dtype)
     if kh == kw == 1:
@@ -494,39 +497,34 @@ def _patch_blocks(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, O: int):
             cols[...] = x[s:e].transpose(1, 0, 2, 3)
             yield s, e, cols.reshape(K, (e - s) * L)
         return
-    R = max(W, OW)
-    planes = np.zeros((nb, C, (H + 2 * ph) * R + kw - 1), x.dtype)
-    front = ph * R + pw
-    rows = planes[:, :, front : front + H * R].reshape(nb, C, H, R)[..., :W]
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    planes = np.zeros((nb, C, (H + 2 * ph) * W + kw - 1), x.dtype)
+    front = ph * W + pw
+    rows = planes[:, :, front : front + L].reshape(nb, C, H, W)
     sN, sC, item = planes.strides
     win = np.lib.stride_tricks.as_strided(
-        planes, shape=(C, kh, kw, nb, OH, OW), strides=(sC, R * item, item, sN, R * item, item),
+        planes, shape=(C, kh, kw, nb, H, W), strides=(sC, W * item, item, sN, W * item, item),
         writeable=False,
     )
     # per kernel column j, the output columns whose tap lies left or right of the image
     wrapped = [
-        (j, slice(lo, hi)) for j in range(kw) for lo, hi in ((0, pw - j), (max(0, W + pw - j), OW)) if lo < hi
+        (j, slice(lo, hi)) for j in range(kw) for lo, hi in ((0, pw - j), (max(0, W + pw - j), W)) if lo < hi
     ]
     for s in range(0, N, nb):
         e = min(s + nb, N)
         n = e - s
         rows[:n] = x[s:e]
-        cols = buf[: K * n * L].reshape(C, kh, kw, n, OH, OW)
+        cols = buf[: K * n * L].reshape(C, kh, kw, n, H, W)
         cols[...] = win[:, :, :, :n]
         for j, cut in wrapped:
             cols[:, :, j, :, :, cut] = 0
         yield s, e, cols.reshape(K, n * L)
 
 
-def _conv_padding(padding) -> tuple[int, int]:
-    return tuple(int(p) for p in padding) if isinstance(padding, tuple) else (int(padding),) * 2
-
-
-def _input_grad(g: Tensor, k: Tensor, ph: int, pw: int) -> Tensor:
-    """Gradient in x of <conv2d(x, k, padding=(ph, pw)), g>: g correlated
-    with the spatially flipped, in/out-swapped kernel."""
-    kh, kw = k.shape[2:]
-    return conv2d(g, permute(flip2d(k), (1, 0, 2, 3)), padding=(kh - 1 - ph, kw - 1 - pw))
+def _input_grad(g: Tensor, k: Tensor) -> Tensor:
+    """Gradient in x of <conv2d(x, k), g>: g convolved with the spatially
+    flipped, in/out-swapped kernel, again a same convolution."""
+    return conv2d(g, permute(flip2d(k), (1, 0, 2, 3)))
 
 
 def flip2d(a: Tensor) -> Tensor:
@@ -536,27 +534,25 @@ def flip2d(a: Tensor) -> Tensor:
     return _result(a.data[:, :, ::-1, ::-1], "flip2d", (a,), lambda g: (flip2d(g),), check=False)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[int, int] = 0) -> Tensor:
-    """2-D stride-1 cross-correlation over NCHW with an OIHW kernel.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """2-D same cross-correlation over NCHW with an OIHW kernel.
 
-    `padding` is one zero pad for both spatial axes, or a (ph, pw) pair; a
-    pad wider than kernel extent - 1 is rejected. Lowered to K-major patches
-    times one GEMM, but over blocks of images sized for that GEMM's O rows
-    (`_block_images`): each block's W(O, K) @ cols(K, n*OH*OW) fills its
-    columns of one (O, N*OH*OW) product, returned as an NCHW view. The
-    patches come from flat image planes with rows R = max(W, OW) apart
-    (`_patch_blocks`): each tap's output image is one run of OH*OW elements
-    when R = OW, as in every network layer, and rows of OW when a pad
-    narrower than (kw-1)/2 makes R > OW; reads that wrap past a row's end
-    are zeroed. Every network layer has OH*OW a multiple of 16, so block
-    boundaries leave each output element's sum order as it is. No patch
-    matrix outlives the call.
+    Stride 1, odd kernel extents (an even one is rejected), and zero pads
+    of (kh-1)/2 rows and (kw-1)/2 columns, so the output keeps the input's
+    H x W. Lowered to K-major patches times one GEMM, but over blocks of
+    images sized for that GEMM's O rows (`_block_images`): each block's
+    W(O, K) @ cols(K, n*H*W) fills its columns of one (O, N*H*W) product,
+    returned as an NCHW view. The patches come from flat image planes
+    (`_patch_blocks`), each tap's output image one run of H*W elements;
+    reads that wrap past a row's end are zeroed. Every network layer has
+    H*W a multiple of 16, so block boundaries leave each output element's
+    sum order as it is. No patch matrix outlives the call.
 
     The backward is built from differentiable ops, so derivatives of every
     order close over `conv2d`, `conv2d_weight`, `flip2d` and `permute`. The
-    input gradient is a convolution of the output gradient with the
-    spatially flipped, in/out-swapped kernel at pad (kh-1-ph, kw-1-pw); the
-    weight gradient is `conv2d_weight(x, g)`.
+    input gradient is the same convolution of the output gradient with the
+    spatially flipped, in/out-swapped kernel; the weight gradient is
+    `conv2d_weight(x, g)`.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW weight")
@@ -566,23 +562,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
         raise ShapeError(f"conv2d: input channels {C} != kernel channels {I}")
     if b is not None and b.shape != (O,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({O},)")
-    ph, pw = _conv_padding(padding)
-    if not (0 <= ph < kh and 0 <= pw < kw):
-        raise ShapeError(f"conv2d: padding {(ph, pw)} not in [0, k - 1] for a {kh}x{kw} kernel")
-    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    L = OH * OW
+    L = H * W
 
     wm = w.data.reshape(O, C * kh * kw)
     out = np.empty((O, N * L), dtype=np.result_type(x.data, w.data))
-    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw, O):
+    for s, e, cols in _patch_blocks(x.data, kh, kw, O):
         np.matmul(wm, cols, out=out[:, s * L : e * L])
     if b is not None:
         out += b.data[:, None]
-    out = out.reshape(O, N, OH, OW).transpose(1, 0, 2, 3)
+    out = out.reshape(O, N, H, W).transpose(1, 0, 2, 3)
 
     def bw(g, needs):
-        d_x = _input_grad(g, w, ph, pw) if needs[0] else None
-        d_w = conv2d_weight(x, g, kh, kw, (ph, pw)) if needs[1] else None
+        d_x = _input_grad(g, w) if needs[0] else None
+        d_w = conv2d_weight(x, g, kh, kw) if needs[1] else None
         if b is None:
             return d_x, d_w
         d_b = sum_axes(reshape(permute(g, (1, 0, 2, 3)), (O, N * L)), 1) if needs[2] else None
@@ -592,35 +584,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int | tuple[i
     return _result(out, "conv2d", parents, bw)
 
 
-def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int, padding: int | tuple[int, int] = 0) -> Tensor:
+def conv2d_weight(x: Tensor, g: Tensor, kh: int, kw: int) -> Tensor:
     """Weight gradient of `conv2d`: the (O, C, kh, kw) kernel V that makes
     <conv2d(x, w), g> = <w, V> for every w.
 
-    `g` is (N, O, OH, OW), shaped like `conv2d(x, w, padding=padding)`.
-    Sums g_block(O, n*OH*OW) @ cols_blockᵀ over image blocks sized for
-    that O-row GEMM, as the forward's are. Bilinear in (x, g): its gradient
-    with respect to g is conv2d(x, V) and with respect to x the
-    flipped-kernel conv of g.
+    `g` is (N, O, H, W), shaped like `conv2d(x, w)`. Sums
+    g_block(O, n*H*W) @ cols_blockᵀ over image blocks sized for that O-row
+    GEMM, as the forward's are. Bilinear in (x, g): its gradient with
+    respect to g is conv2d(x, V) and with respect to x the flipped-kernel
+    conv of g.
     """
     if x.ndim != 4 or g.ndim != 4:
         raise ShapeError("conv2d_weight expects NCHW input and gradient")
     N, C, H, W = x.shape
-    ph, pw = _conv_padding(padding)
-    OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
     O = g.shape[1]
-    if g.shape != (N, O, OH, OW):
-        raise ShapeError(f"conv2d_weight: gradient {g.shape} != {(N, O, OH, OW)}")
-    L = OH * OW
+    if g.shape != (N, O, H, W):
+        raise ShapeError(f"conv2d_weight: gradient {g.shape} != {(N, O, H, W)}")
+    L = H * W
     gt = g.data.transpose(1, 0, 2, 3)
     d_w = np.zeros((O, C * kh * kw), dtype=np.result_type(x.data, g.data))
-    for s, e, cols in _patch_blocks(x.data, kh, kw, ph, pw, O):
+    for s, e, cols in _patch_blocks(x.data, kh, kw, O):
         d_w += gt[:, s:e].reshape(O, (e - s) * L) @ cols.T
 
     def bw(v, needs):
-        return (
-            _input_grad(g, v, ph, pw) if needs[0] else None,
-            conv2d(x, v, padding=(ph, pw)) if needs[1] else None,
-        )
+        return (_input_grad(g, v) if needs[0] else None, conv2d(x, v) if needs[1] else None)
 
     return _result(d_w.reshape(O, C, kh, kw), "conv2d_weight", (x, g), bw)
 

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ class TestTrainingCommands:
         bad.write_bytes(b"not a checkpoint")
         assert run("generate", "--config", tiny_config, "--out", tmp_path / "o",
                    "--checkpoint", bad, "--count", 1) == 2
+
+    def test_checkpoint_with_huge_dims_is_a_truncated_container(self, tmp_path, tiny_config, capsys):
+        # one float64 array of (2**31)**4 elements: its byte count passes int64
+        bad = tmp_path / "huge.params"
+        record = struct.pack("<H1sBB4I", 1, b"w", 1, 4, *(1 << 31,) * 4) + bytes(8)
+        bad.write_bytes(b"JGNP" + struct.pack("<II", 1, 1) + record)
+        assert run("generate", "--config", tiny_config, "--out", tmp_path / "o",
+                   "--checkpoint", bad, "--count", 1) == 2
+        assert "truncated container" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exit_code(self, tmp_path, tiny_config):

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -259,6 +260,36 @@ class TestSerialization:
             f.write(b"extra")
         with pytest.raises(ValueError, match="trailing"):
             N.load_params(path)
+
+    def test_dims_whose_product_wraps_int64_read_as_truncated(self, tmp_path):
+        # (2**31)**4 float64 elements: an int64 byte count wraps to 0
+        path = tmp_path / "huge.params"
+        path.write_bytes(_container(_record(b"w", (1 << 31,) * 4, b"\x00" * 8)))
+        with pytest.raises(ValueError, match="truncated container"):
+            N.load_params(str(path))
+
+    def test_an_array_named_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "twice.params"
+        one = np.ones(1).tobytes()
+        path.write_bytes(_container(_record(b"w", (1,), one), _record(b"w", (1,), one)))
+        with pytest.raises(ValueError, match="corrupt parameter container: array 'w' appears twice"):
+            N.load_params(str(path))
+
+    def test_a_name_that_is_not_utf8_is_corrupt(self, tmp_path):
+        path = tmp_path / "name.params"
+        path.write_bytes(_container(_record(b"\xffw", (1,), np.ones(1).tobytes())))
+        with pytest.raises(ValueError, match="corrupt parameter container"):
+            N.load_params(str(path))
+
+
+def _record(name: bytes, dims, data: bytes) -> bytes:
+    """One float64 array's record in the parameter container layout."""
+    return (struct.pack("<H", len(name)) + name + struct.pack("<BB", 1, len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + data)
+
+
+def _container(*records: bytes) -> bytes:
+    return b"JGNP" + struct.pack("<II", 1, len(records)) + b"".join(records)
 
 
 def _container_bytes(arrays) -> bytes:

@@ -18,14 +18,25 @@ from jpeggan import tensor as T
 from jpeggan.tensor import Tensor
 
 
+# the kernels of the same-convolution tests: square, one-sided and wide ones
+SAME_KERNELS = [(1, 1), (3, 3), (1, 3), (3, 1), (3, 5), (5, 5)]
+
+
+def _pads(p):
+    """(ph, pw) from one pad for both axes or a pair."""
+    return p if isinstance(p, tuple) else (p, p)
+
+
 def _conv_ref(x, w, stride, pad):
-    """Direct-summation cross-correlation, the conv oracle."""
+    """Direct-summation cross-correlation, the conv oracle; `pad` is one
+    zero pad for both axes or a (ph, pw) pair."""
     N, C, H, W = x.shape
     O, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    OH = (H + 2 * pad - kh) // stride + 1
-    OW = (W + 2 * pad - kw) // stride + 1
-    out = np.zeros((N, O, OH, OW))
+    ph, pw = _pads(pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    OH = (H + 2 * ph - kh) // stride + 1
+    OW = (W + 2 * pw - kw) // stride + 1
+    out = np.zeros((N, O, OH, OW), dtype=np.result_type(x, w))
     for n in range(N):
         for o in range(O):
             for i in range(OH):
@@ -36,9 +47,9 @@ def _conv_ref(x, w, stride, pad):
 
 
 def _patch_blocks_ref(x, kh, kw, ph, pw, O):
-    """The patch-matrix oracle: zero-pad each block of images, view it as
-    (C, kh, kw, n, OH, OW) windows over the padded rows and copy that.
-    Blocks are split as the lowering splits them (`_block_images`)."""
+    """The patch-matrix oracle: zero-pad each block of images by (ph, pw),
+    view it as (C, kh, kw, n, OH, OW) windows over the padded rows and copy
+    that. Blocks are split as the lowering splits them (`_block_images`)."""
     N, C, H, W = x.shape
     OH, OW = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
     K, L = C * kh * kw, OH * OW
@@ -121,7 +132,7 @@ class TestForward:
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
             w[c, c, 1, 1] = 1.0
-        y = T.conv2d(Tensor(x), Tensor(w), padding=1)
+        y = T.conv2d(Tensor(x), Tensor(w))
         assert np.allclose(y.data, x, atol=1e-12)
 
     def test_conv2d_matches_direct_summation(self):
@@ -130,7 +141,7 @@ class TestForward:
         x = rng.normal(size=(N, C, H, W))
         w = rng.normal(size=(O, C, k, k))
         b = rng.normal(size=(O,))
-        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        y = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         OH = (H + 2 * p - k) // s + 1
         OW = (W + 2 * p - k) // s + 1
@@ -274,13 +285,13 @@ class TestGradientsAgainstFiniteDifferences:
         w = rng.normal(size=(2, 3, 3, 3))
         x = rng.normal(size=(2, 3, 6, 6))
         check_op(
-            lambda t: T.sum_all(T.tanh(T.conv2d(t, Tensor(w), padding=1))),
+            lambda t: T.sum_all(T.tanh(T.conv2d(t, Tensor(w)))),
             lambda z: float(np.sum(np.tanh(_conv_ref(z, w, 1, 1)))),
             x.shape,
             rng,
         )
         check_op(
-            lambda t: T.sum_all(T.tanh(T.conv2d(Tensor(x), t, padding=1))),
+            lambda t: T.sum_all(T.tanh(T.conv2d(Tensor(x), t))),
             lambda z: float(np.sum(np.tanh(_conv_ref(x, z, 1, 1)))),
             w.shape,
             rng,
@@ -346,7 +357,8 @@ class TestConv2dBackward:
     """The input gradient is a flipped-kernel convolution; check it, the
     weight and the bias gradient, and their own gradients, on H != W."""
 
-    CASES = [(3, 3, 0), (3, 3, 1), (1, 1, 0), (2, 3, 1)]
+    # each same-conv kernel with the zero pad the oracles apply for it
+    CASES = [(1, 1, 0), (3, 3, 1), (5, 5, 2), (1, 3, (0, 1)), (3, 1, (1, 0)), (3, 5, (1, 2))]
 
     @staticmethod
     def values(kh, kw):
@@ -362,10 +374,13 @@ class TestConv2dBackward:
         values = self.values(kh, kw)
 
         def ref(x, w, b):
-            return float(np.sum(np.tanh(_conv_ref(x, w, 1, p) + b[None, :, None, None])))
+            # in long double: float64 rounds this sum by ~4e-15, ~2e-9 over 2 * eps,
+            # over 1e-6 of a gradient entry near 1e-4
+            x = x.astype(np.longdouble)
+            return np.sum(np.tanh(_conv_ref(x, w, 1, p) + b[None, :, None, None]))
 
         leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
-        grads = T.grad(T.sum_all(T.tanh(T.conv2d(*leaves, padding=p))), leaves)
+        grads = T.grad(T.sum_all(T.tanh(T.conv2d(*leaves))), leaves)
         for i, g in enumerate(grads):
             numeric = fd_grad(lambda v: ref(*(v if j == i else values[j] for j in range(3))), values[i].copy())
             err = np.max(np.abs(g.data - numeric) / np.maximum(1e-8, np.abs(g.data) + np.abs(numeric)))
@@ -377,7 +392,7 @@ class TestConv2dBackward:
 
         def penalty(*arrays):
             leaves = [Tensor(v, requires_grad=True) for v in arrays]
-            out = T.sum_all(T.tanh(T.conv2d(*leaves, padding=p)))
+            out = T.sum_all(T.tanh(T.conv2d(*leaves)))
             # gx is the penalty's pattern; gW and gb reach x through the saved patches
             gx, gw, gb = T.grad(out, leaves, create_graph=True)
             squares = [T.sum_all(T.mul(t, t)) for t in (gx, gw, gb)]
@@ -392,14 +407,18 @@ class TestConv2dBackward:
             err = np.max(np.abs(g.data - numeric) / np.maximum(1e-8, np.abs(g.data) + np.abs(numeric)))
             assert err < 1e-5, (i, err)
 
-    def test_padding_wider_than_kernel_is_rejected(self):
+    def test_even_kernel_is_rejected_and_extents_are_kept(self):
         x = Tensor(np.zeros((1, 2, 6, 7)))
-        for kh, kw, padding in [(3, 3, 3), (1, 1, 1), (2, 3, 2), (3, 3, -1), (2, 3, (1, 3))]:
-            with pytest.raises(T.ShapeError, match="padding"):
-                T.conv2d(x, Tensor(np.zeros((1, 2, kh, kw))), padding=padding)
-        # the widest accepted pad is kernel extent - 1, per axis
-        y = T.conv2d(x, Tensor(np.zeros((1, 2, 2, 3))), padding=(1, 2))
-        assert y.shape == (1, 1, 7, 9)
+        for kh, kw in [(2, 2), (2, 3), (3, 2), (4, 1)]:
+            with pytest.raises(T.ShapeError, match="even"):
+                T.conv2d(x, Tensor(np.zeros((1, 2, kh, kw))))
+            with pytest.raises(T.ShapeError, match="even"):
+                T.conv2d_weight(x, Tensor(np.zeros((1, 1, 6, 7))), kh, kw)
+        # a same convolution keeps the input's extents, a kernel wider than the image too
+        for kh, kw in SAME_KERNELS + [(7, 9)]:
+            w = Tensor(np.zeros((1, 2, kh, kw)))
+            assert T.conv2d(x, w).shape == (1, 1, 6, 7)
+            assert T.conv2d_weight(x, T.conv2d(x, w), kh, kw).shape == w.shape
 
 
 class TestBlockImages:
@@ -462,9 +481,9 @@ class TestNetworkConvBlocks:
         calls = []
         conv2d = T.conv2d
 
-        def recorded(x, w, b=None, padding=0):
-            calls.append((x.data, w.data, padding))
-            return conv2d(x, w, b, padding)
+        def recorded(x, w, b=None):
+            calls.append((x.data, w.data))
+            return conv2d(x, w, b)
 
         with monkeypatch.context() as m:
             m.setattr(T, "conv2d", recorded)
@@ -483,16 +502,16 @@ class TestNetworkConvBlocks:
         rng = np.random.default_rng(9)
         calls = self.conv_calls(monkeypatch, width, critic_width, path_channels, dtype, 3)
         assert len(calls) > 20
-        for x, w, p in calls:
+        for x, w in calls:
             kh, kw = w.shape[2:]
-            ruled = T.conv2d(Tensor(x), Tensor(w), padding=p).data
+            ruled = T.conv2d(Tensor(x), Tensor(w)).data
             g = Tensor(rng.normal(size=ruled.shape).astype(dtype))
-            ruled_w = T.conv2d_weight(Tensor(x), g, kh, kw, p).data
+            ruled_w = T.conv2d_weight(Tensor(x), g, kh, kw).data
             with monkeypatch.context() as m:
                 m.setattr(T, "_L2_BYTES", 1)  # one image per block
-                single = T.conv2d(Tensor(x), Tensor(w), padding=p).data
+                single = T.conv2d(Tensor(x), Tensor(w)).data
                 m.setattr(T, "_L2_BYTES", 1 << 40)  # the whole batch in one block
-                whole_w = T.conv2d_weight(Tensor(x), g, kh, kw, p).data
+                whole_w = T.conv2d_weight(Tensor(x), g, kh, kw).data
             assert np.array_equal(ruled, single), (x.shape, w.shape)
             if dtype == np.float64:
                 err = np.max(np.abs(ruled_w - whole_w)) / np.max(np.abs(whole_w))
@@ -502,48 +521,42 @@ class TestNetworkConvBlocks:
 class TestBlockedLowering:
     """conv2d and conv2d_weight run over image blocks sized by `_block_images`."""
 
-    # (H, W) per case giving a 4x8 output: every layer of the networks has
-    # OH*OW a multiple of 16, and then a block boundary leaves each output
-    # element's GEMM sum order unchanged
-    EXTENTS = {(3, 3, 0): (6, 10), (3, 3, 1): (4, 8), (1, 1, 0): (4, 8), (2, 3, 1): (3, 8)}
-
     @staticmethod
-    def values(kh, kw, H, W):
+    def values(kh, kw):
+        # 4x8 images: every layer of the networks has H*W a multiple of 16,
+        # and then a block boundary leaves each output element's GEMM sum
+        # order unchanged
         rng = np.random.default_rng(60 + kh * 10 + kw)
-        return rng.normal(size=(5, 2, H, W)), rng.normal(size=(3, 2, kh, kw)), rng.normal(size=(3,))
+        return rng.normal(size=(5, 2, 4, 8)), rng.normal(size=(3, 2, kh, kw)), rng.normal(size=(3,))
 
     @pytest.mark.parametrize("kh, kw, p", TestConv2dBackward.CASES)
     def test_uneven_blocks_match_one_block_and_oracle(self, kh, kw, p, monkeypatch):
-        x, w, b = self.values(kh, kw, *self.EXTENTS[kh, kw, p])
-        one = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        x, w, b = self.values(kh, kw)
+        one = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         assert one.shape[2:] == (4, 8)
         # two images per block: blocks of 2, 2 and 1 image; the O = 3 budget
         # is 6/19 of the L2 constant
         monkeypatch.setattr(T, "_L2_BYTES", 19 * (2 * 2 * kh * kw * 32 * 8) // 6 + 1)
-        starts = [s for s, _, _ in T._patch_blocks(x, kh, kw, p, p, 3)]
+        starts = [s for s, _, _ in T._patch_blocks(x, kh, kw, 3)]
         assert starts == [0, 2, 4]
-        blocked = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=p).data
+        blocked = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
         assert np.array_equal(blocked, one)
         ref = _conv_ref(x, w, 1, p) + b[None, :, None, None]
         assert np.allclose(blocked, ref, atol=1e-12)
 
     def test_rejects_a_gradient_of_the_wrong_shape(self):
         x = Tensor(np.zeros((2, 2, 5, 5)))
-        with pytest.raises(T.ShapeError, match="conv2d_weight"):
-            T.conv2d_weight(x, Tensor(np.zeros((2, 3, 5, 5))), 3, 3, 0)
+        with pytest.raises(T.ShapeError, match="conv2d_weight"):  # an unpadded conv's shape
+            T.conv2d_weight(x, Tensor(np.zeros((2, 3, 3, 3))), 3, 3)
 
 
 class TestPatchMatrices:
     """`_patch_blocks` equals the padded-window oracle bit for bit, block by
-    block: every kernel and pad of the conv tests, with the input-gradient
-    pad beside each, on the layouts convolutions see."""
+    block: every kernel of the conv tests with the pads of its same
+    convolution, on the layouts convolutions see. Pads of 2 columns on
+    6-column images make taps wrap two rows' ends."""
 
-    # TestConv2dBackward.CASES and TestAdjointPairs' kernels, as (kh, kw, ph, pw),
-    # each beside its input gradient's (kh, kw, kh - 1 - ph, kw - 1 - pw)
-    KERNELS = [(3, 3, 0, 0), (3, 3, 1, 1), (1, 1, 0, 0), (2, 3, 1, 1), (3, 2, 1, 0)]
-    CASES = sorted({
-        case for kh, kw, ph, pw in KERNELS for case in [(kh, kw, ph, pw), (kh, kw, kh - 1 - ph, kw - 1 - pw)]
-    })
+    CASES = [(kh, kw, (kh - 1) // 2, (kw - 1) // 2) for kh, kw in SAME_KERNELS]
 
     @staticmethod
     def layouts(rng, dtype):
@@ -558,7 +571,7 @@ class TestPatchMatrices:
 
     @staticmethod
     def assert_blocks_match(x, kh, kw, ph, pw, O):
-        blocks = [(s, e, cols.copy()) for s, e, cols in T._patch_blocks(x, kh, kw, ph, pw, O)]
+        blocks = [(s, e, cols.copy()) for s, e, cols in T._patch_blocks(x, kh, kw, O)]
         oracle = list(_patch_blocks_ref(x, kh, kw, ph, pw, O))
         assert [b[:2] for b in blocks] == [b[:2] for b in oracle]
         for (s, _, cols), (_, _, ref) in zip(blocks, oracle):
@@ -572,7 +585,7 @@ class TestPatchMatrices:
         O = 3
         for name, x in self.layouts(np.random.default_rng(70 + kh * 10 + kw), dtype).items():
             N, C, H, W = x.shape
-            kl = C * kh * kw * (H + 2 * ph - kh + 1) * (W + 2 * pw - kw + 1) * x.itemsize
+            kl = C * kh * kw * H * W * x.itemsize
             # one block; blocks of 2, 2 and 1 images (the O = 3 budget is 6/19 of
             # the L2 constant); one image per block
             for l2_bytes, starts in [(1 << 40, [0]), (19 * 2 * kl // 6 + 1, [0, 2, 4]), (1, [0, 1, 2, 3, 4])]:
@@ -586,45 +599,44 @@ class TestPatchMatrices:
     def test_every_network_convolution(self, monkeypatch, width, critic_width, path_channels, dtype):
         calls = TestNetworkConvBlocks.conv_calls(monkeypatch, width, critic_width, path_channels, dtype, 3)
         assert len(calls) > 20
-        for x, w, p in calls:  # forward and critic input-gradient convolutions
-            ph, pw = p if isinstance(p, tuple) else (p, p)
-            self.assert_blocks_match(x, *w.shape[2:], ph, pw, w.shape[0])
+        for x, w in calls:  # forward and critic input-gradient convolutions
+            kh, kw = w.shape[2:]
+            self.assert_blocks_match(x, kh, kw, (kh - 1) // 2, (kw - 1) // 2, w.shape[0])
 
 
 class TestConv2dWeight:
     """Finite differences of conv2d_weight in x and g, to second order."""
 
-    # conv2d's cases, plus unequal pads on the two axes
-    CASES = TestConv2dBackward.CASES + [(3, 2, (1, 0))]
+    CASES = TestConv2dBackward.CASES
 
     @staticmethod
     def values(kh, kw, p):
-        ph, pw = p if isinstance(p, tuple) else (p, p)
-        rng = np.random.default_rng(kh * 10 + kw + ph)
+        rng = np.random.default_rng(kh * 10 + kw + _pads(p)[0])
         x = rng.normal(size=(2, 2, 4, 5))
-        return [x, rng.normal(size=(2, 3, 4 + 2 * ph - kh + 1, 5 + 2 * pw - kw + 1)) * 0.5]
+        return [x, rng.normal(size=(2, 3, 4, 5)) * 0.5]
 
     @staticmethod
-    def scalar(kh, kw, p, leaves):
-        return T.sum_all(T.tanh(T.scalar_mul(T.conv2d_weight(*leaves, kh, kw, p), 0.3)))
+    def scalar(kh, kw, leaves):
+        return T.sum_all(T.tanh(T.scalar_mul(T.conv2d_weight(*leaves, kh, kw), 0.3)))
 
     @pytest.mark.parametrize("kh, kw, p", CASES)
     def test_first_order(self, kh, kw, p):
         values = self.values(kh, kw, p)
-        ph, pw = p if isinstance(p, tuple) else (p, p)
+        ph, pw = _pads(p)
 
         def ref(x, g):
             # the weight gradient by direct summation: V[o] = sum g[:, o] * patches
-            xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+            # in long double, as TestConv2dBackward's oracle
+            xp = np.pad(x.astype(np.longdouble), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
             OH, OW = g.shape[2:]
-            v = np.zeros((g.shape[1], x.shape[1], kh, kw))
+            v = np.zeros((g.shape[1], x.shape[1], kh, kw), dtype=np.longdouble)
             for i in range(kh):
                 for j in range(kw):
                     v[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[:, :, i : i + OH, j : j + OW])
-            return float(np.sum(np.tanh(0.3 * v)))
+            return np.sum(np.tanh(0.3 * v))
 
         leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
-        grads = T.grad(self.scalar(kh, kw, p, leaves), leaves)
+        grads = T.grad(self.scalar(kh, kw, leaves), leaves)
         for i, g in enumerate(grads):
             numeric = fd_grad(lambda v: ref(*(v if j == i else values[j] for j in range(2))), values[i].copy())
             err = np.max(np.abs(g.data - numeric) / np.maximum(1e-8, np.abs(g.data) + np.abs(numeric)))
@@ -636,7 +648,7 @@ class TestConv2dWeight:
 
         def penalty(*arrays):
             leaves = [Tensor(v, requires_grad=True) for v in arrays]
-            gx, gg = T.grad(self.scalar(kh, kw, p, leaves), leaves, create_graph=True)
+            gx, gg = T.grad(self.scalar(kh, kw, leaves), leaves, create_graph=True)
             return leaves, T.add(T.sum_all(T.mul(gx, gx)), T.sum_all(T.mul(gg, gg)))
 
         leaves, pen = penalty(*(v.copy() for v in values))
@@ -670,11 +682,11 @@ class TestAdjointPairs:
         x = Tensor(rng.normal(size=(3, 3, 6, 5)))
         for l2_bytes in (T._L2_BYTES, 1):  # one block, then one image per block
             monkeypatch.setattr(T, "_L2_BYTES", l2_bytes)
-            for kh, kw, p in [(3, 3, 0), (3, 3, 1), (2, 3, 1), (1, 1, 0), (3, 2, (1, 0))]:
+            for kh, kw in SAME_KERNELS:
                 self.inner_check(
                     rng,
-                    lambda t: T.conv2d(x, t, padding=p),
-                    lambda y: T.conv2d_weight(x, y, kh, kw, p),
+                    lambda t: T.conv2d(x, t),
+                    lambda y: T.conv2d_weight(x, y, kh, kw),
                     (4, 3, kh, kw),
                 )
 
@@ -725,7 +737,7 @@ class TestHigherOrder:
         def penalty(Wd):
             W = Tensor(Wd, requires_grad=True)
             x = Tensor(xv, requires_grad=True)
-            out = T.sum_all(T.tanh(T.conv2d(x, W, padding=1)))
+            out = T.sum_all(T.tanh(T.conv2d(x, W)))
             (gx,) = T.grad(out, [x], create_graph=True)
             pen = T.sum_all(T.mul(gx, gx))
             return W, pen
@@ -736,18 +748,18 @@ class TestHigherOrder:
         err = np.max(np.abs(gw - numeric) / np.maximum(1e-8, np.abs(gw) + np.abs(numeric)))
         assert err < 1e-5
 
-    @pytest.mark.parametrize("k, pad", [(3, 1), (1, 0)])
-    def test_grad_through_batched_conv_gradient_with_bias(self, k, pad):
+    @pytest.mark.parametrize("kh, kw", SAME_KERNELS)
+    def test_grad_through_batched_conv_gradient_with_bias(self, kh, kw):
         rng = np.random.default_rng(32)
         values = [
-            rng.normal(size=(2, 3, k, k)) * 0.5,  # W
+            rng.normal(size=(2, 3, kh, kw)) * 0.5,  # W
             rng.normal(size=(2,)) * 0.5,  # b
             rng.normal(size=(2, 3, 5, 5)),  # x
         ]
 
         def penalty(Wd, bd, xd):
             W, b, x = (Tensor(v, requires_grad=True) for v in (Wd, bd, xd))
-            out = T.sum_all(T.tanh(T.conv2d(x, W, b, padding=pad)))
+            out = T.sum_all(T.tanh(T.conv2d(x, W, b)))
             (gx,) = T.grad(out, [x], create_graph=True)
             return (W, b, x), T.sum_all(T.mul(gx, gx))
 
@@ -767,17 +779,17 @@ class TestHigherOrder:
         w1 = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         w2 = Tensor(rng.normal(size=(1, 3, 3, 3)), requires_grad=True)
         b2 = Tensor(rng.normal(size=(1,)), requires_grad=True)
-        out = T.sum_all(T.conv2d(T.relu(T.conv2d(x, w1, padding=1)), w2, b2, padding=1))
+        out = T.sum_all(T.conv2d(T.relu(T.conv2d(x, w1)), w2, b2))
         kernels, weight_grads = [], []
         conv2d, conv2d_weight = T.conv2d, T.conv2d_weight
 
-        def counted_conv(x, w, b=None, padding=0):
+        def counted_conv(x, w, b=None):
             kernels.append(w.shape)
-            return conv2d(x, w, b, padding)
+            return conv2d(x, w, b)
 
-        def counted_weight(x, g, kh, kw, padding=0):
+        def counted_weight(x, g, kh, kw):
             weight_grads.append((g.shape[1], x.shape[1], kh, kw))
-            return conv2d_weight(x, g, kh, kw, padding)
+            return conv2d_weight(x, g, kh, kw)
 
         monkeypatch.setattr(T, "conv2d", counted_conv)
         monkeypatch.setattr(T, "conv2d_weight", counted_weight)
@@ -914,7 +926,7 @@ class TestDtypes:
         x = Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32), requires_grad=True)
         W = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=(2,)).astype(np.float32), requires_grad=True)
-        y = T.conv2d(x, W, b, padding=1)
+        y = T.conv2d(x, W, b)
         gx, gW, gb = T.grad(T.sum_all(T.tanh(y)), [x, W, b], create_graph=True)
         ggW, ggb, ggx = T.grad(T.sum_all(T.mul(gx, gx)), [W, b, x])
         for t in (y, gx, gW, gb, ggW, ggb, ggx):
