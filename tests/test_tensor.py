@@ -20,6 +20,12 @@ from jpeggan.tensor import Tensor
 
 # the kernels of the same-convolution tests: square, one-sided and wide ones
 SAME_KERNELS = [(1, 1), (3, 3), (1, 3), (3, 1), (3, 5), (5, 5)]
+# each with the zero pad the oracles apply for it: one for both axes, or (ph, pw)
+SAME_CASES = pytest.mark.parametrize(
+    "kh, kw, p",
+    [(1, 1, 0), (3, 3, 1), (5, 5, 2), (1, 3, (0, 1)), (3, 1, (1, 0)), (3, 5, (1, 2))],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
+)
 
 
 def _pads(p):
@@ -357,9 +363,6 @@ class TestConv2dBackward:
     """The input gradient is a flipped-kernel convolution; check it, the
     weight and the bias gradient, and their own gradients, on H != W."""
 
-    # each same-conv kernel with the zero pad the oracles apply for it
-    CASES = [(1, 1, 0), (3, 3, 1), (5, 5, 2), (1, 3, (0, 1)), (3, 1, (1, 0)), (3, 5, (1, 2))]
-
     @staticmethod
     def values(kh, kw):
         rng = np.random.default_rng(kh * 10 + kw)
@@ -369,7 +372,7 @@ class TestConv2dBackward:
             rng.normal(size=(3,)) * 0.5,  # b
         ]
 
-    @pytest.mark.parametrize("kh, kw, p", CASES)
+    @SAME_CASES
     def test_first_order_against_direct_summation(self, kh, kw, p):
         values = self.values(kh, kw)
 
@@ -386,7 +389,7 @@ class TestConv2dBackward:
             err = np.max(np.abs(g.data - numeric) / np.maximum(1e-8, np.abs(g.data) + np.abs(numeric)))
             assert err < 1e-6, (i, err)
 
-    @pytest.mark.parametrize("kh, kw, p", CASES)
+    @SAME_CASES
     def test_second_order_against_finite_differences(self, kh, kw, p):
         values = self.values(kh, kw)
 
@@ -529,7 +532,7 @@ class TestBlockedLowering:
         rng = np.random.default_rng(60 + kh * 10 + kw)
         return rng.normal(size=(5, 2, 4, 8)), rng.normal(size=(3, 2, kh, kw)), rng.normal(size=(3,))
 
-    @pytest.mark.parametrize("kh, kw, p", TestConv2dBackward.CASES)
+    @SAME_CASES
     def test_uneven_blocks_match_one_block_and_oracle(self, kh, kw, p, monkeypatch):
         x, w, b = self.values(kh, kw)
         one = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
@@ -607,8 +610,6 @@ class TestPatchMatrices:
 class TestConv2dWeight:
     """Finite differences of conv2d_weight in x and g, to second order."""
 
-    CASES = TestConv2dBackward.CASES
-
     @staticmethod
     def values(kh, kw, p):
         rng = np.random.default_rng(kh * 10 + kw + _pads(p)[0])
@@ -619,7 +620,7 @@ class TestConv2dWeight:
     def scalar(kh, kw, leaves):
         return T.sum_all(T.tanh(T.scalar_mul(T.conv2d_weight(*leaves, kh, kw), 0.3)))
 
-    @pytest.mark.parametrize("kh, kw, p", CASES)
+    @SAME_CASES
     def test_first_order(self, kh, kw, p):
         values = self.values(kh, kw, p)
         ph, pw = _pads(p)
@@ -642,7 +643,7 @@ class TestConv2dWeight:
             err = np.max(np.abs(g.data - numeric) / np.maximum(1e-8, np.abs(g.data) + np.abs(numeric)))
             assert err < 1e-6, (i, err)
 
-    @pytest.mark.parametrize("kh, kw, p", CASES)
+    @SAME_CASES
     def test_second_order(self, kh, kw, p):
         values = self.values(kh, kw, p)
 
