@@ -4,10 +4,16 @@
 real data, oracles, and the CLI. Both wrap a core on stacked level planes:
 `_encode_levels` turns a batch of same-sized images into (N, h, w) int64
 quantizer levels per plane, each 8x8 block in its place in the plane, and
-`_decode_levels` turns such planes back into pixels. `fid.compression_sweep`
-hands the planes straight from one to the other; the wrappers add one
-`EncodedImage` container per image and its checks. `encode_image`,
-`decode_image` and `decode_samples` are one-image wrappers.
+`_decode_levels` turns such planes back into pixels. The encoder is two
+steps, and only the second depends on the quality factor:
+`_encode_coefficients` range-checks, edge-pads, transforms the colours,
+subsamples the chroma and takes the DCT, giving (N, h, w) float64
+coefficient planes for one chroma mode; `_quantize_planes` divides them by
+a quality factor's tiled table. `fid.compression_sweep` takes each mode's
+coefficients once for all its quality factors and hands the levels
+straight to the decoder; the wrappers add one `EncodedImage` container per
+image and its checks. `encode_image`, `decode_image` and `decode_samples`
+are one-image wrappers.
 
 The core runs on channel-planar (3, N, H, W) memory: the color transform
 is one (3, 3) @ (3, N*H*W) GEMM, which rounds exactly as
@@ -81,9 +87,9 @@ def _plane_table(q: np.ndarray, plane: np.ndarray) -> np.ndarray:
     return np.tile(q, (h // 8, w // 8))
 
 
-def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[np.ndarray, ...]:
-    """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) int64 quantizer levels
-    in plane layout (N, h, w), each 8x8 block in its place in the plane.
+def _encode_coefficients(images: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) float64 DCT
+    coefficient planes (N, h, w), each 8x8 block in its place in the plane.
 
     Extents are edge-replicated up to the subsampling mode's macroblock
     multiple before encoding.
@@ -103,15 +109,22 @@ def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[
     ycc = jpeg._RGB_TO_YCBCR @ planar
     ycc += jpeg._YCBCR_OFFSET[:, None]  # in place: a fresh array would cost page faults
     ycc = ycc.reshape(3, n, h, w)
+    planes = (ycc[0], jpeg.subsample(ycc[1], mode), jpeg.subsample(ycc[2], mode))
+    return tuple(_plane_dct(plane - 128.0) for plane in planes)
+
+
+def _quantize_planes(coefs, quality_factor: int) -> tuple[np.ndarray, ...]:
+    """(y, cb, cr) coefficient planes -> int64 quantizer levels at
+    `quality_factor`; `coefs` is left as it was."""
     ql, qc = jpeg.quant_matrices(quality_factor)
-    planes = (
-        (ycc[0], ql),
-        (jpeg.subsample(ycc[1], mode), qc),
-        (jpeg.subsample(ycc[2], mode), qc),
-    )
-    return tuple(
-        jpeg.quantize(_plane_dct(plane - 128.0), _plane_table(q, plane)) for plane, q in planes
-    )
+    return tuple(jpeg.quantize(c, _plane_table(q, c)) for c, q in zip(coefs, (ql, qc, qc)))
+
+
+def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[np.ndarray, ...]:
+    """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) int64 quantizer levels
+    in plane layout (N, h, w): `_encode_coefficients`, then
+    `_quantize_planes`."""
+    return _quantize_planes(_encode_coefficients(images, mode), quality_factor)
 
 
 def _sample_planes(y, cb, cr, quality_factor: int, out=(None, None, None)) -> list[np.ndarray]:

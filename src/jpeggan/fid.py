@@ -149,13 +149,24 @@ def compression_sweep(
     """Distance of each (quality, mode) re-encode against the originals.
 
     `images` is (n, 3, h, w) in [0, 255]. Returns one row per setting in
-    the given order. Images pass through the codec and `extractor`
-    `_SWEEP_CHUNK` at a time, which bounds the memory a setting needs. Each
-    chunk's level planes go from `codec._encode_levels` straight to
-    `codec._decode_levels`, with no per-image containers to build and check.
+    the given order, quality factors outer and modes inner, repeats
+    included; each setting is checked before any codec work. The work runs
+    the other way round: for each distinct mode, in order of first
+    appearance, `codec._encode_coefficients` takes each chunk of
+    `_SWEEP_CHUNK` images to coefficient planes once, and every distinct
+    quality factor quantizes those planes (`codec._quantize_planes`),
+    decodes them (`codec._decode_levels`) and pools them with `extractor`,
+    with no per-image containers. Each setting's features are joined in
+    chunk order, so its distance has the bits of a per-setting run.
+
+    With one distinct quality factor a mode's chunks stream: one chunk's
+    planes at a time. With more, the mode's planes are kept for the later
+    quality factors and released before the next mode's, so the sweep
+    holds at most one mode's coefficient planes: for 4:4:4, the bytes of
+    the float64 images.
     """
-    modes = list(modes)
-    settings = [(qf, mode) for qf in quality_factors for mode in modes]
+    qfs, modes = list(quality_factors), list(modes)
+    settings = [(qf, mode) for qf in qfs for mode in modes]
     # every setting is checked before any codec work, without `quant_matrices`:
     # perfbench's repeat check expects the same number of its calls per setting
     for qf, mode in settings:
@@ -165,16 +176,18 @@ def compression_sweep(
     images = np.asarray(images, dtype=np.float64)
     reference = FidStats.from_features(extractor(images))
     n, _, h, w = images.shape
-    rows = []
-    for qf, mode in settings:
-        feats = []
-        for start in range(0, n, _SWEEP_CHUNK):
-            chunk = images[start : start + _SWEEP_CHUNK]
-            degraded = codec._decode_levels(*codec._encode_levels(chunk, qf, mode), qf, mode)
-            feats.append(extractor(degraded[:, :, :h, :w]))
-        stats = FidStats.from_features(np.concatenate(feats))
-        rows.append((int(qf), str(mode), frechet_distance(reference, stats)))
-    return rows
+    distinct_qfs, distances = list(dict.fromkeys(qfs)), {}
+    for mode in dict.fromkeys(modes):
+        # rebinding `chunks` drops the last mode's planes before this mode's are made
+        chunks = (codec._encode_coefficients(images[start : start + _SWEEP_CHUNK], mode)
+                  for start in range(0, n, _SWEEP_CHUNK))
+        if len(distinct_qfs) > 1:
+            chunks = list(chunks)  # read again by every later quality factor
+        for qf in distinct_qfs:
+            feats = [extractor(codec._decode_levels(*codec._quantize_planes(coefs, qf), qf, mode)[:, :, :h, :w])
+                     for coefs in chunks]
+            distances[qf, mode] = frechet_distance(reference, FidStats.from_features(np.concatenate(feats)))
+    return [(int(qf), str(mode), distances[qf, mode]) for qf, mode in settings]
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -191,6 +191,17 @@ class TestLayerLines:
         sides = {"parent": parent, "change": change}
         traced = {"seed": 7, "sweep": sides, "still": {"parent": {"x.ms": 1.0}, "change": {"x.ms": 1.0}},
                   "again": sides}
-        five = ["a.ms: 50 -> 0 (-50)", "d.ms: 1 -> 4 (+3)", "b.ms: 10 -> 12 (+2)", "e.ms: 3 -> 1 (-2)",
-                "c.ms: 5 -> 4 (-1)"]
-        assert bench_ab.layer_lines(traced) == [f"{w} traced {line}" for w in ("sweep", "again") for line in five]
+        five = ["a.ms: 50 -> 0 (-50, -100.0 %)", "d.ms: 1 -> 4 (+3, +300.0 %)", "b.ms: 10 -> 12 (+2, +20.0 %)",
+                "e.ms: 3 -> 1 (-2, -66.7 %)", "c.ms: 5 -> 4 (-1, -20.0 %)"]
+        assert bench_ab.layer_lines(traced)[1:] == [f"{w} traced {line}" for w in ("sweep", "again") for line in five]
+
+    def test_header_names_the_seed_and_the_missing_spread(self):
+        traced = {"seed": 1101, "w": {"parent": {"new.ms": 0.0, "old.ms": 8.0},
+                                      "change": {"new.ms": 2.5, "old.ms": 6.0}}}
+        assert bench_ab.layer_lines(traced) == [
+            "traced per-layer moves, seed 1101: one run per side, no spread, not verdicts",
+            "w traced new.ms: 0 -> 2.5 (+2.5)",  # no relative size from a parent of 0
+            "w traced old.ms: 8 -> 6 (-2, -25.0 %)",
+        ]
+        assert bench_ab.layer_lines({"seed": 3}) == [
+            "traced per-layer moves, seed 3: one run per side, no spread, not verdicts"]

@@ -1,5 +1,7 @@
 """Frechet distance against closed forms and streaming-vs-batch agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,14 +199,76 @@ class TestExtractorsAndSweep:
     )
     def test_sweep_checks_every_setting_before_coding(self, monkeypatch, qfs, modes):
         calls = []
-        real = codec._encode_levels
-        monkeypatch.setattr(codec, "_encode_levels", lambda *a: calls.append(a) or real(*a))
+        real = codec._encode_coefficients
+        monkeypatch.setattr(codec, "_encode_coefficients", lambda *a: calls.append(a) or real(*a))
         images = np.random.default_rng(14).uniform(0, 255, size=(4, 3, 16, 16))
         with pytest.raises(ValueError):
             fid.compression_sweep(images, qfs, modes)
         assert calls == []
         fid.compression_sweep(images, iter([75]), iter(["4:2:0"]))  # iterables are read once
         assert len(calls) == 1
+
+    def test_sweep_rows_match_a_per_setting_loop(self):
+        # 130 images leave a last chunk of 2; 24x24 at 4:2:0 needs edge padding
+        rng = np.random.default_rng(16)
+        smooth = np.kron(rng.uniform(40, 215, size=(130, 3, 6, 6)), np.ones((4, 4)))
+        qfs, modes = [50, 90, 50], ["4:2:0", "4:4:4", "4:2:0"]
+        reference = fid.FidStats.from_features(fid.pixel_features(smooth))
+        want = []
+        for qf in qfs:
+            for mode in modes:
+                feats = []
+                for start in range(0, 130, fid._SWEEP_CHUNK):
+                    chunk = smooth[start : start + fid._SWEEP_CHUNK]
+                    decoded = codec._decode_levels(*codec._encode_levels(chunk, qf, mode), qf, mode)
+                    feats.append(fid.pixel_features(decoded[:, :, :24, :24]))
+                stats = fid.FidStats.from_features(np.concatenate(feats))
+                want.append((qf, mode, fid.frechet_distance(reference, stats)))
+        got = fid.compression_sweep(smooth, iter(qfs), iter(modes))
+        assert [(qf, mode) for qf, mode, _ in got] == [(qf, mode) for qf, mode, _ in want]
+        assert np.array([d for *_, d in got]).tobytes() == np.array([d for *_, d in want]).tobytes()
+
+    def test_sweep_holds_one_modes_planes_at_most(self, monkeypatch):
+        # 8 chunks of 32 images: a mode's planes are 8 chunks', so a chunk is
+        # the unit the traced sizes are compared in
+        monkeypatch.setattr(fid, "_SWEEP_CHUNK", 32)
+        images = np.random.default_rng(17).uniform(0, 255, size=(256, 3, 32, 32))
+        chunk_bytes = 32 * 3 * 32 * 32 * 8  # one chunk's 4:4:4 coefficient planes
+        real = codec._encode_coefficients
+
+        def traced_sweep(qfs, modes):
+            """Traced bytes at the start of each chunk's transform, and the peak."""
+            at_encode = []
+
+            def encode(chunk, mode):
+                at_encode.append((mode, tracemalloc.get_traced_memory()[0]))
+                return real(chunk, mode)
+
+            monkeypatch.setattr(codec, "_encode_coefficients", encode)
+            tracemalloc.start()
+            try:
+                fid.compression_sweep(images, qfs, modes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return at_encode, peak
+
+        # one quality factor: each chunk's planes go before the next chunk's
+        at_encode, stream_peak = traced_sweep([75], ["4:4:4"])
+        held = [b for _, b in at_encode]
+        assert len(held) == 8 and max(held) - held[1] < chunk_bytes
+        # more than one: a mode's planes are kept, and gone before the next mode's
+        at_encode, one_mode_peak = traced_sweep([75, 50], ["4:4:4"])
+        assert at_encode[-1][1] - at_encode[0][1] > 6 * chunk_bytes
+        modes = ["4:4:4", "4:2:2", "4:2:0"]
+        at_encode, three_mode_peak = traced_sweep([75, 50], modes)
+        assert [m for m, _ in at_encode] == [m for m in modes for _ in range(8)]
+        # at each mode's first chunk, the covariance root and the last
+        # features (0.9 chunks here) are held, and no other mode's planes
+        first = [b for i, (_, b) in enumerate(at_encode) if i % 8 == 0]
+        assert max(first) - first[0] < 2 * chunk_bytes
+        assert three_mode_peak < one_mode_peak + chunk_bytes
+        assert one_mode_peak - stream_peak > 6 * chunk_bytes
 
     def test_sweep_csv(self, tmp_path):
         path = tmp_path / "sweep.csv"

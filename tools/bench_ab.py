@@ -21,8 +21,11 @@ leaves behind (null where it leaves none), and their medians. Since
 host drift. It also holds the line count of each side's `src/` Python files
 and their difference, in total and per file. After writing the file, the
 script prints one line per workload and end-to-end metric (`verdict_lines`),
-then per workload the five traced per-layer times that moved most
-(`layer_lines`), then one line per `src/` file whose line count changed.
+then a header naming the traced seed and per workload the five traced
+per-layer times that moved most, each with its relative size
+(`layer_lines`); one traced run per side gives these moves no spread, so
+they are not verdicts. Last comes one line per `src/` file whose line
+count changed.
 """
 
 from __future__ import annotations
@@ -101,19 +104,24 @@ def verdict_lines(workloads: dict) -> list[str]:
 
 
 def layer_lines(traced: dict) -> list[str]:
-    """Per workload of a `traced` result, one line for each of the five
-    per-layer `*.ms` metrics that moved most between parent and change,
-    largest absolute difference first (ties in name order); a metric that
-    did not move is left out. A span the change no longer calls reads 0
-    on its side, so its whole parent time shows here."""
-    lines = []
+    """A header naming the traced seed, then per workload of a `traced`
+    result one line for each of the five per-layer `*.ms` metrics that
+    moved most between parent and change, largest absolute difference first
+    (ties in name order); a metric that did not move is left out. Each line
+    gives the move's size relative to the parent's time, except where that
+    reads 0. A span the change no longer calls reads 0 on its side, so its
+    whole parent time shows here. Each side has one traced run, so these
+    moves carry no spread and are not verdicts; the header says so."""
+    lines = [f"traced per-layer moves, seed {traced['seed']}: one run per side, no spread, not verdicts"]
     for w, sides in traced.items():
         if w == "seed":
             continue
         parent, change = sides["parent"], sides["change"]
         moved = [n for n in parent if n.endswith(".ms") and n in change and change[n] != parent[n]]
         for n in sorted(moved, key=lambda n: (-abs(change[n] - parent[n]), n))[:5]:
-            lines.append(f"{w} traced {n}: {parent[n]:.4g} -> {change[n]:.4g} ({change[n] - parent[n]:+.4g})")
+            move = change[n] - parent[n]
+            rel = f", {100.0 * move / parent[n]:+.1f} %" if parent[n] else ""
+            lines.append(f"{w} traced {n}: {parent[n]:.4g} -> {change[n]:.4g} ({move:+.4g}{rel})")
     return lines
 
 
