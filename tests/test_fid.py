@@ -253,7 +253,7 @@ class TestExtractorsAndSweep:
                 tracemalloc.stop()
             return at_encode, peak
 
-        # one quality factor: each chunk's planes go before the next chunk's
+        # one quality factor: what is held does not grow from chunk to chunk
         at_encode, stream_peak = traced_sweep([75], ["4:4:4"])
         held = [b for _, b in at_encode]
         assert len(held) == 8 and max(held) - held[1] < chunk_bytes
