@@ -342,15 +342,14 @@ def cmd_decode(args) -> int:
 def cmd_fid(args) -> int:
     cfg = resolve_config(args)
     dtype = _dtype(cfg)
-    moments = []
+    stats = []
     for source in (args.set_a, args.set_b):
         images = _load_data(source, cfg, dtype)
         try:  # a covariance needs two or more images
-            stats = fid.FidStats.from_features(fid.pixel_features(images))
-            moments += [stats.mean, stats.covariance]
+            stats.append(fid.FidStats.from_features(fid.pixel_features(images)))
         except ValueError as e:
             raise DataError(f"dataset {source}: {e}") from None
-    value = fid.frechet_from_moments(*moments)
+    value = fid.frechet_distance(*stats)
     out = _start_out(args, cfg, {"set_a": args.set_a, "set_b": args.set_b})
     with open(os.path.join(out, "fid.csv"), "w") as fh:
         fh.write("set_a,set_b,fid\n")

@@ -12,8 +12,8 @@ coefficient planes for one chroma mode; `_quantize_planes` divides them by
 a quality factor's tiled table. `fid.compression_sweep` takes each mode's
 coefficients once for all its quality factors and hands the levels
 straight to the decoder; the wrappers add one `EncodedImage` container per
-image and its checks. `encode_image`, `decode_image` and `decode_samples`
-are one-image wrappers.
+image, holding that image's (h, w) slice of each plane, and its checks.
+`encode_image`, `decode_image` and `decode_samples` are one-image wrappers.
 
 The core runs on channel-planar (3, N, H, W) memory: the color transform
 is one (3, 3) @ (3, N*H*W) GEMM, which rounds exactly as
@@ -23,8 +23,9 @@ subsampling and the DCT. The DCT runs on whole planes, not on copies cut
 into 8x8 tiles: T times each 8-row strip, then each 8-wide row of the
 result times Tᵀ; the inverse is Tᵀ times each strip, then T. That keeps
 `jpeg.dct8x8`'s (T·B)·Tᵀ and `jpeg.idct8x8`'s (Tᵀ·C)·T product order, so
-every coefficient and pixel rounds as in the blockwise form. Quantization
-divides by the 8x8 table tiled over the plane.
+every coefficient and pixel rounds as in the blockwise form. Quantization,
+dequantization and the amplitude check use the 8x8 table tiled over the
+plane (`jpeg.plane_table`).
 
 `decode_planes` is the same decode pipeline expressed in differentiable
 tensor ops so gradients can flow from pixel-space losses back into
@@ -81,12 +82,6 @@ def _plane_idct(coef: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(strips.reshape(-1, 8), jpeg._DCT_T, out=out.reshape(-1, 8)).reshape(n, h, w)
 
 
-def _plane_table(q: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """The 8x8 table `q` tiled over the trailing (h, w) axes of `plane`."""
-    h, w = plane.shape[-2:]
-    return np.tile(q, (h // 8, w // 8))
-
-
 def _encode_coefficients(images: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
     """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) float64 DCT
     coefficient planes (N, h, w), each 8x8 block in its place in the plane.
@@ -117,7 +112,7 @@ def _quantize_planes(coefs, quality_factor: int) -> tuple[np.ndarray, ...]:
     """(y, cb, cr) coefficient planes -> int64 quantizer levels at
     `quality_factor`; `coefs` is left as it was."""
     ql, qc = jpeg.quant_matrices(quality_factor)
-    return tuple(jpeg.quantize(c, _plane_table(q, c)) for c, q in zip(coefs, (ql, qc, qc)))
+    return tuple(jpeg.quantize(c, jpeg.plane_table(q, c)) for c, q in zip(coefs, (ql, qc, qc)))
 
 
 def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[np.ndarray, ...]:
@@ -134,11 +129,10 @@ def _sample_planes(y, cb, cr, quality_factor: int, out=(None, None, None)) -> li
     ql, qc = jpeg.quant_matrices(quality_factor)
     planes = []
     for name, levels, q, dest in zip(("y", "cb", "cr"), (y, cb, cr), (ql, qc, qc), out):
-        table = _plane_table(q, levels)
-        jpeg.check_amplitudes(name, levels, table)
+        jpeg.check_amplitudes(name, levels, q)
         if dest is None or dest.shape != levels.shape:
             dest = np.empty(levels.shape)
-        pix = _plane_idct(jpeg.dequantize(levels, table), dest)
+        pix = _plane_idct(jpeg.dequantize(levels, jpeg.plane_table(q, levels)), dest)
         pix += 128.0
         planes.append(pix)
     return planes
@@ -162,27 +156,25 @@ def _decode_levels(y, cb, cr, quality_factor: int, mode: str) -> np.ndarray:
 
 def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
     """Reference encoder: (N, 3, H, W) pixels in [0, 255] -> one container
-    of quantized coefficients per image (`_encode_levels`, blocked)."""
+    of quantized coefficients per image, holding its (h, w) slices of the
+    `_encode_levels` planes."""
     levels = _encode_levels(images, quality_factor, mode)
-    _, h, w = levels[0].shape
-    y, cb, cr = (jpeg.blockify(plane) for plane in levels)
-    meta = dict(width=w, height=h, quality_factor=int(quality_factor), mode=mode)
-    return [EncodedImage(**meta, y=yi, cb=cbi, cr=cri) for yi, cbi, cri in zip(y, cb, cr)]
+    return [EncodedImage(int(quality_factor), mode, *planes) for planes in zip(*levels)]
 
 
 def _stacked_levels(encs: list[EncodedImage]) -> list[np.ndarray]:
-    """Check containers of one setting and stack each plane's levels in
-    plane layout (N, h, w)."""
+    """Check containers of one setting and stack each plane's levels to
+    (N, h, w)."""
     if not encs:
         raise ValueError("no containers to decode")
-    setting = (encs[0].width, encs[0].height, encs[0].quality_factor, encs[0].mode)
+    setting = (encs[0].y.shape, encs[0].quality_factor, encs[0].mode)
     for enc in encs:
         enc.check_layout()
-        if (enc.width, enc.height, enc.quality_factor, enc.mode) != setting:
+        if (enc.y.shape, enc.quality_factor, enc.mode) != setting:
             raise ValueError(
                 "containers in one batch must share extents, quality factor and mode"
             )
-    return [jpeg.unblockify(np.stack([getattr(enc, name) for enc in encs])) for name in ("y", "cb", "cr")]
+    return [np.stack([getattr(enc, name) for enc in encs]) for name in ("y", "cb", "cr")]
 
 
 def decode_batch(encs: list[EncodedImage]) -> np.ndarray:

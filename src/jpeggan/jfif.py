@@ -8,6 +8,11 @@ value bits, pads them with 1-bits to a whole byte and stuffs every 0xFF once
 (T.81 B.1.1.5, F.1.2); the reader finds the scan's end, unstuffs it once and
 reads codes and values by slicing.
 
+Containers hold (h, w) level planes, and this is the one module that cuts
+them into 8x8 blocks: the writer blockifies each plane before its zig-zag
+gather, and the reader fills a (rows, cols, 64) buffer per plane and lays it
+back out as a plane once, after the scan.
+
 The header, SOI through SOS, is one function of the quality factor, the
 extents and the chroma mode, `_header`, and both sides use it. The reader
 reads only files this writer emits: it finds q from the luma quantization
@@ -240,8 +245,8 @@ def _scan_bytes(enc: EncodedImage) -> bytes:
     """The entropy-coded segment: one bit string, 1-padded, stuffed once."""
     planes = []
     for _, plane, _, _ in _COMPONENTS:
-        p = getattr(enc, plane)
-        planes.append(p.reshape(*p.shape[:2], 64)[..., jpeg.ZIGZAG_INDEX].tolist())
+        blocks = jpeg.blockify(getattr(enc, plane))
+        planes.append(blocks.reshape(*blocks.shape[:2], 64)[..., jpeg.ZIGZAG_INDEX].tolist())
     bits, pred = [], [0] * len(_COMPONENTS)
     for c, r, col in _mcu_order(enc.height, enc.width, enc.mode):
         t = _COMPONENTS[c][3]
@@ -367,13 +372,7 @@ def decode_jfif(data: bytes) -> EncodedImage:
     if data[end + 2 :]:
         raise ValueError(f"offset {end + 2}: trailing bytes after EOI")
 
-    enc = EncodedImage(
-        width=width,
-        height=height,
-        quality_factor=q,
-        mode=mode,
-        **{plane: p.reshape(*p.shape[:2], 8, 8) for (_, plane, _, _), p in zip(_COMPONENTS, planes)},
-    )
+    enc = EncodedImage(q, mode, *(jpeg.unblockify(p.reshape(*p.shape[:2], 8, 8)) for p in planes))
     try:
         enc.validate()
     except ValueError as e:

@@ -13,7 +13,11 @@ Conventions fixed across the package:
   (after the shift) has DC 8*v and Parseval holds exactly;
 * quantization rounds half away from zero;
 * chroma subsampling is block-mean pooling, upsampling is nearest-neighbor
-  replication.
+  replication;
+* quantized coefficients live in level planes: an (h, w) plane holds each
+  8x8 block of levels in its place, `EncodedImage` holds one image's three
+  planes, and `plane_table` tiles an 8x8 table over a plane. Only the JFIF
+  scan coder cuts planes into (h/8, w/8, 8, 8) blocks (`blockify`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "zigzag",
     "inverse_zigzag",
     "ZIGZAG_INDEX",
+    "plane_table",
     "blockify",
     "unblockify",
     "AMPLITUDE_LIMIT",
@@ -199,9 +204,8 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def quantize(coef: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """coef / q, rounded half away from zero, as int64, elementwise: `coef`
-    in trailing 8x8 blocks with the 8x8 table, or whole planes with the
-    table tiled over them.
+    """coef / q, rounded half away from zero, as int64, elementwise; `q`
+    broadcasts against `coef` (for level planes, `plane_table`).
 
     Adding copysign(0.5, x) to x = coef / q rounds |x| + 0.5 the same way for
     either sign, and the int64 cast truncates toward zero, so the levels are
@@ -269,6 +273,12 @@ def inverse_zigzag(vec: np.ndarray) -> np.ndarray:
     return out.reshape(8, 8)
 
 
+def plane_table(q: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """The 8x8 table `q` tiled over the trailing (h, w) axes of `plane`."""
+    h, w = plane.shape[-2:]
+    return np.tile(q, (h // 8, w // 8))
+
+
 def blockify(plane: np.ndarray) -> np.ndarray:
     """(..., H, W) -> (..., H/8, W/8, 8, 8) contiguous copy of 8x8 tiles."""
     *lead, h, w = plane.shape
@@ -287,33 +297,39 @@ def unblockify(blocks: np.ndarray) -> np.ndarray:
 def check_amplitudes(name: str, levels: np.ndarray, q: np.ndarray) -> None:
     """Reject quantizer levels whose amplitudes leave the container's range.
 
-    `levels` and `q` need only broadcast elementwise: levels in trailing 8x8
-    blocks with the 8x8 table, or whole planes with the table tiled over them.
-    A level may reach (1024 + 8 q) // q in magnitude, the largest whose
-    amplitude |level * q| stays within 1024 + 8 q. Levels are compared with
-    that bound rather than multiplied, so no product can wrap around.
+    `levels` are (..., h, w) level planes and `q` is their 8x8 table. A level
+    may reach (1024 + 8 q) // q in magnitude, the largest whose amplitude
+    |level * q| stays within 1024 + 8 q. Levels are compared with that bound,
+    tiled over the plane, rather than multiplied, so no product can wrap
+    around.
     """
-    bound = (1024 + 8 * q) // q
+    bound = plane_table((1024 + 8 * q) // q, levels)
     if np.any(levels > bound) or np.any(levels < -bound):
         raise ValueError(f"{name} plane has out-of-range amplitudes")
 
 
 @dataclass
 class EncodedImage:
-    """Quantized block-DCT coefficients for one image.
+    """Quantizer levels of one image: three (h, w) integer planes, each 8x8
+    block of DCT levels in its place in the plane.
 
-    Planes are stored as (blocks_y, blocks_x, 8, 8) int arrays of quantizer
-    levels.  `width`/`height` are the padded luma extents in pixels; chroma
-    extents follow from the subsampling mode.
+    `height` and `width` are the padded luma extents in pixels, read from
+    `y`; the chroma planes are `y`'s shape divided by the mode's factors.
     """
 
-    width: int
-    height: int
     quality_factor: int
     mode: str
     y: np.ndarray = field(repr=False)
     cb: np.ndarray = field(repr=False)
     cr: np.ndarray = field(repr=False)
+
+    @property
+    def height(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.y.shape[1]
 
     def validate(self) -> None:
         self.check_layout()
@@ -328,24 +344,21 @@ class EncodedImage:
             raise ValueError(f"bad mode {self.mode!r}")
         if not _is_quality_factor(self.quality_factor):
             raise ValueError(f"bad quality factor {self.quality_factor}")
-        if not all(isinstance(e, (int, np.integer)) for e in (self.width, self.height)):
-            raise ValueError(f"extents {self.width}x{self.height} must be integers")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"extents {self.width}x{self.height} must be positive")
-        fv, fh = mode_factors(self.mode)
-        if self.width % (8 * fh) or self.height % (8 * fv):
-            raise ValueError(
-                f"extents {self.width}x{self.height} not multiples of the "
-                f"{self.mode} macroblock"
-            )
-        shapes = {
-            "y": (self.height // 8, self.width // 8, 8, 8),
-            "cb": (self.height // (8 * fv), self.width // (8 * fh), 8, 8),
-            "cr": (self.height // (8 * fv), self.width // (8 * fh), 8, 8),
-        }
-        for name, shape in shapes.items():
+        for name in ("y", "cb", "cr"):
             plane = getattr(self, name)
-            if plane.shape != shape:
-                raise ValueError(f"{name} plane shape {plane.shape} != {shape}")
+            if plane.ndim != 2:
+                raise ValueError(f"{name} plane shape {plane.shape} is not (h, w)")
             if plane.dtype.kind not in "iu":  # signed or unsigned integers
                 raise ValueError(f"{name} plane must be integer levels")
+        h, w = self.y.shape
+        fv, fh = mode_factors(self.mode)
+        if h < 1 or w < 1 or h % (8 * fv) or w % (8 * fh):
+            raise ValueError(
+                f"y plane shape {self.y.shape} is not a positive multiple of the "
+                f"{self.mode} macroblock"
+            )
+        chroma = (h // fv, w // fh)
+        for name in ("cb", "cr"):
+            shape = getattr(self, name).shape
+            if shape != chroma:
+                raise ValueError(f"{name} plane shape {shape} != {chroma}")

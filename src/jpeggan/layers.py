@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .jpeg import mode_factors
+from .jpeg import mode_factors, plane_table
 from .tensor import Tensor
 
 __all__ = [
@@ -166,7 +166,7 @@ class Quantization:
         n, c, h, w = x.shape
         if h % 8 or w % 8:
             raise T.ShapeError(f"plane {h}x{w} not divisible by 8")
-        inv = Tensor(1.0 / np.tile(self.q, (h // 8, w // 8)).astype(x.data.dtype))
+        inv = Tensor(1.0 / plane_table(self.q, x.data).astype(x.data.dtype))
         scaled = T.mul(x, T.expand(T.reshape(inv, (1, 1, h, w)), (n, c, h, w)))
         return T.round_ste(scaled)
 

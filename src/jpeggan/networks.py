@@ -4,8 +4,11 @@ The generator is a shared trunk (FC -> four upsampling residual blocks ->
 3-channel conv) followed by three coefficient paths, one per YCbCr
 component.  Each path is a 1x1-block local layer, an optional chroma
 mean-pool, an 8x8-block local layer producing DCT amplitudes, and a
-quantization layer.  The anchor generator wraps a trunk (a frozen copy of
-the generator's) in a parameterless tanh head scaled to [0, 255].
+quantization layer.  The paths emit (N, 1, h, w) quantizer-level planes,
+each 8x8 block in its place, the layout `jpeg.EncodedImage` holds, so
+`to_encoded_images` slices them into per-image containers as they are.
+The anchor generator wraps a trunk (a frozen copy of the generator's) in a
+parameterless tanh head scaled to [0, 255].
 
 At 32x32 output resolution every width is halved from the 64x64 base,
 except the last residual block which keeps the base width.
@@ -26,7 +29,6 @@ from .jpeg import (
     EncodedImage,
     MODES,
     _is_quality_factor,
-    blockify,
     mode_factors,
     quant_matrices,
 )
@@ -269,25 +271,10 @@ class Discriminator(Module):
 
 
 def to_encoded_images(out: GeneratorOutput) -> list[EncodedImage]:
-    """Materialize a generator batch as per-image coefficient containers."""
-    y = out.y.data
-    cb = out.cb.data
-    cr = out.cr.data
-    n, _, h, w = y.shape
-    images = []
-    for i in range(n):
-        images.append(
-            EncodedImage(
-                width=w,
-                height=h,
-                quality_factor=out.quality_factor,
-                mode=out.mode,
-                y=blockify(y[i, 0]).astype(np.int64),
-                cb=blockify(cb[i, 0]).astype(np.int64),
-                cr=blockify(cr[i, 0]).astype(np.int64),
-            )
-        )
-    return images
+    """Materialize a generator batch as per-image coefficient containers,
+    each holding its image's slices of the int64 level planes."""
+    planes = (p.data[:, 0].astype(np.int64) for p in (out.y, out.cb, out.cr))
+    return [EncodedImage(out.quality_factor, out.mode, *image) for image in zip(*planes)]
 
 
 # -- parameter container ------------------------------------------------------

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from jpeggan import codec, datasets, fid, jpeg
+from jpeggan import codec, datasets, fid, jfif, jpeg, networks
 from jpeggan import tensor as T
 from jpeggan.jpeg import EncodedImage
 from jpeggan.tensor import Tensor
@@ -30,13 +30,11 @@ def smooth_image(rng, h=32, w=32):
 def zero_enc(h=16, w=16, qf=50, mode="4:4:4"):
     fv, fh = jpeg.mode_factors(mode)
     return EncodedImage(
-        width=w,
-        height=h,
         quality_factor=qf,
         mode=mode,
-        y=np.zeros((h // 8, w // 8, 8, 8), dtype=np.int64),
-        cb=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
-        cr=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
+        y=np.zeros((h, w), dtype=np.int64),
+        cb=np.zeros((h // fv, w // fh), dtype=np.int64),
+        cr=np.zeros((h // fv, w // fh), dtype=np.int64),
     )
 
 
@@ -80,7 +78,7 @@ class TestBatchedCodec:
             for img, enc, got in zip(batch, encs, pixels):
                 want = oracle_encode(img.transpose(1, 2, 0), qf, mode)
                 for name, levels in zip(("y", "cb", "cr"), want):
-                    assert np.array_equal(getattr(enc, name), levels), name
+                    assert np.array_equal(jpeg.blockify(getattr(enc, name)), levels), name
                 assert np.array_equal(got, oracle_decode(want, qf, mode).transpose(2, 0, 1))
 
     def test_padding_replicates_edges(self, corpus):
@@ -96,7 +94,7 @@ class TestBatchedCodec:
         codec.decode_batch(encs)
         loud = copy.copy(encs[-1])
         loud.y = loud.y.copy()
-        loud.y[0, 0, 0, 0] = 10_000
+        loud.y[0, 0] = 10_000
         fractional = copy.copy(encs[-1])
         fractional.cb = fractional.cb.astype(np.float64)
         others = [
@@ -160,7 +158,7 @@ class TestPlaneCore:
                 for name, plane, blocks in zip(("y", "cb", "cr"), levels, want):
                     assert plane.dtype == np.int64
                     assert np.array_equal(jpeg.blockify(plane[i]), blocks), (h, w, name)
-                    assert np.array_equal(getattr(enc, name), blocks), (h, w, name)
+                    assert np.array_equal(getattr(enc, name), plane[i]), (h, w, name)
                 assert np.array_equal(pixels[i], oracle_decode(want, qf, mode).transpose(2, 0, 1)), (h, w)
 
     @pytest.mark.parametrize("plane", [0, 1, 2], ids=["y", "cb", "cr"])
@@ -206,7 +204,8 @@ class TestPinnedBits:
     )
     def test_levels_and_pixels(self, corpus, qf, mode, levels_digest, pixels_digest):
         encs = codec.encode_batch(corpus, qf, mode)
-        levels = np.concatenate([np.concatenate([e.y.ravel(), e.cb.ravel(), e.cr.ravel()]) for e in encs])
+        # hashed in the (h/8, w/8, 8, 8) block order the digests were pinned in
+        levels = np.concatenate([jpeg.blockify(p).ravel() for e in encs for p in (e.y, e.cb, e.cr)])
         assert digest(levels.astype(np.int64)) == levels_digest
         pixels = codec.decode_batch(encs)
         assert pixels.shape == corpus.shape and pixels.dtype == np.float64
@@ -249,8 +248,8 @@ class TestReferenceCodec:
         img = rng.uniform(0, 255, size=(20, 28, 3))
         enc = codec.encode_image(img, 50, "4:2:0")
         assert enc.width == 32 and enc.height == 32  # padded to 16-multiples
-        assert enc.y.shape == (4, 4, 8, 8)
-        assert enc.cb.shape == (2, 2, 8, 8)
+        assert enc.y.shape == (32, 32)
+        assert enc.cb.shape == (16, 16)
         enc.validate()
         enc422 = codec.encode_image(img, 50, "4:2:2")
         assert enc422.width == 32 and enc422.height == 24
@@ -288,9 +287,9 @@ class TestReferenceCodec:
             levels = rng.integers(-3, 4, size=(2, 2, 8, 8))
             levels[..., 0, 0] = rng.integers(-40, 40, size=(2, 2))
             enc = zero_enc(h=16, w=16, qf=100, mode="4:4:4")
-            enc.y = levels.astype(np.int64)
-            enc.cb = (levels // 2).astype(np.int64)
-            enc.cr = (-levels // 3).astype(np.int64)
+            enc.y = jpeg.unblockify(levels.astype(np.int64))
+            enc.cb = jpeg.unblockify((levels // 2).astype(np.int64))
+            enc.cr = jpeg.unblockify((-levels // 3).astype(np.int64))
             img = codec.decode_image(enc)
             assert 1.0 < img.min() and img.max() < 254.0  # clip never engaged
             enc2 = codec.encode_image(img, 100, "4:4:4")
@@ -337,6 +336,20 @@ class TestReferenceCodec:
         assert out.shape == batch.shape
 
 
+class TestContainers:
+    @pytest.mark.parametrize("mode", jpeg.MODES)
+    def test_encoder_jfif_and_generator_containers_hold_equal_planes(self, corpus, mode):
+        enc = codec.encode_batch(corpus[:1], 60, mode)[0]
+        back = jfif.decode_jfif(jfif.encode_jfif(enc))
+        planes = (Tensor(getattr(enc, name)[None, None].astype(np.float64)) for name in ("y", "cb", "cr"))
+        (made,) = networks.to_encoded_images(networks.GeneratorOutput(*planes, 60, mode))
+        for other in (back, made):
+            assert (other.quality_factor, other.mode, other.height, other.width) == (60, mode, 32, 32)
+            for name in ("y", "cb", "cr"):
+                plane = getattr(other, name)
+                assert plane.dtype == np.int64 and np.array_equal(plane, getattr(enc, name)), name
+
+
 class TestDifferentiableDecode:
     def rand_levels(self, rng, n, h, w, dc=30, ac=3, corner=8):
         blocks = np.zeros((n, h // 8, w // 8, 8, 8))
@@ -367,13 +380,11 @@ class TestDifferentiableDecode:
             got = codec.decode_planes(Tensor(y), Tensor(cb), Tensor(cr), qf, mode).data
             for i in range(y.shape[0]):
                 enc = EncodedImage(
-                    width=16,
-                    height=16,
                     quality_factor=qf,
                     mode=mode,
-                    y=jpeg.blockify(y[i, 0]).astype(np.int64),
-                    cb=jpeg.blockify(cb[i, 0]).astype(np.int64),
-                    cr=jpeg.blockify(cr[i, 0]).astype(np.int64),
+                    y=y[i, 0].astype(np.int64),
+                    cb=cb[i, 0].astype(np.int64),
+                    cr=cr[i, 0].astype(np.int64),
                 )
                 want = codec.decode_image(enc).transpose(2, 0, 1)
                 assert np.max(np.abs(got[i] - want)) < 1e-10, mode

@@ -24,20 +24,18 @@ def random_encoded(rng, qf=50, mode="4:4:4", h=32, w=32, dc=60, ac=4):
     fv, fh = jpeg.mode_factors(mode)
     ql, qc = jpeg.quant_matrices(qf)
 
-    def blocks(bh, bw, q):
+    def plane(bh, bw, q):
         b = rng.integers(-ac, ac + 1, size=(bh, bw, 8, 8))
         b[..., 0, 0] = rng.integers(-dc, dc + 1, size=(bh, bw))
         cap = (1024 + 8 * q) // q  # container validity bound per frequency
-        return np.clip(b, -cap, cap).astype(np.int64)
+        return jpeg.unblockify(np.clip(b, -cap, cap).astype(np.int64))
 
     enc = EncodedImage(
-        width=w,
-        height=h,
         quality_factor=qf,
         mode=mode,
-        y=blocks(h // 8, w // 8, ql),
-        cb=blocks(h // (8 * fv), w // (8 * fh), qc),
-        cr=blocks(h // (8 * fv), w // (8 * fh), qc),
+        y=plane(h // 8, w // 8, ql),
+        cb=plane(h // (8 * fv), w // (8 * fh), qc),
+        cr=plane(h // (8 * fv), w // (8 * fh), qc),
     )
     enc.validate()
     return enc
@@ -142,8 +140,8 @@ class TestRoundTrip:
 
 def sparse_encoded():
     enc = random_encoded(np.random.default_rng(35), qf=75, mode="4:2:0", dc=3, ac=0)
-    enc.y[0, 0, 7, 7] = 1  # zigzag index 63 after a run of 62 zeros: three ZRLs
-    enc.cb[0, 0, 4, 3] = -2
+    enc.y[7, 7] = 1  # zigzag index 63 after a run of 62 zeros: three ZRLs
+    enc.cb[4, 3] = -2
     return enc
 
 
@@ -253,24 +251,10 @@ class TestErrors:
         with pytest.raises(ValueError, match=match):
             jfif.decode_jfif(data)
 
-    @pytest.mark.parametrize("extent", [32.0, np.float64(32.0)], ids=["float", "float64"])
-    def test_float_extent_is_a_value_error(self, extent):
-        enc = random_encoded(np.random.default_rng(2))
-        enc.width = extent
-        with pytest.raises(ValueError, match="integers"):
-            jfif.encode_jfif(enc)
-
-    def test_numpy_integer_extents_encode(self):
-        enc = random_encoded(np.random.default_rng(2), mode="4:2:0")
-        want = jfif.encode_jfif(enc)
-        enc.width, enc.height = np.int64(enc.width), np.int32(enc.height)
-        assert jfif.encode_jfif(enc) == want
-        assert_same(jfif.decode_jfif(want), enc)
-
     def test_out_of_range_amplitudes_name_the_scan(self):
         # a DC level in range at qf 95 but not under qf 50's coarser tables
         enc = random_encoded(np.random.default_rng(19), qf=95)
-        enc.y[0, 0, 0, 0] = 300
+        enc.y[0, 0] = 300
         data = bytearray(jfif.encode_jfif(enc))
         coarse = jfif.encode_jfif(random_encoded(np.random.default_rng(19), qf=50))
         dqt = data.index(b"\xff\xdb")
@@ -301,8 +285,8 @@ class TestErrors:
     )
     def test_out_of_range_huffman_symbols(self, segment, symbol):
         enc = random_encoded(np.random.default_rng(10))
-        enc.y[0, 0] = 0
-        enc.y[0, 0, 0, :2] = 1  # first block: DC category 1, then AC symbol 0x01
+        enc.y[:8, :8] = 0
+        enc.y[0, :2] = 1  # first block: DC category 1, then AC symbol 0x01
         data = bytearray(jfif.encode_jfif(enc))
         pos = -1
         for _ in range(segment + 1):  # DHT order: DC luma, DC chroma, AC luma, AC chroma

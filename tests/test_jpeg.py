@@ -205,7 +205,7 @@ class TestQuantize:
     def test_quantize_matches_formula_oracle(self):
         rng = np.random.default_rng(16)
         ql, qc = jpeg.quant_matrices(30)
-        plane = codec._plane_table(ql, np.empty((24, 40)))
+        plane = jpeg.plane_table(ql, np.empty((24, 40)))
         ties = np.array([0.5, 1.5, 2.5, -0.5, -1.5, -2.5])
         cases = [
             (rng.choice(ties, size=(7, 24, 40)) * plane, plane),  # exact ties of coef / q
@@ -220,10 +220,10 @@ class TestQuantize:
     def test_levels_at_amplitude_bound_match_formula_oracles(self):
         ql, qc = jpeg.quant_matrices(90)
         for q in (ql, qc):
-            plane = codec._plane_table(q, np.empty((16, 24)))
+            plane = jpeg.plane_table(q, np.empty((16, 24)))
             bound = (1024 + 8 * plane) // plane
             levels = np.stack([bound, -bound])
-            jpeg.check_amplitudes("y", levels, plane)
+            jpeg.check_amplitudes("y", levels, q)
             amplitudes = jpeg.dequantize(levels, plane)
             self.assert_same_bits(amplitudes, self.dequantize_oracle(levels, plane))
             self.assert_same_bits(jpeg.quantize(amplitudes, plane), levels)
@@ -335,17 +335,14 @@ class TestBlockify:
         assert np.array_equal(jpeg.unblockify(blocks), p)
 
 class TestEncodedImage:
-    def make(self, mode="4:2:0", qf=50):
+    def make(self, mode="4:2:0", qf=50, h=16, w=32):
         fv, fh = jpeg.mode_factors(mode)
-        h, w = 16, 32
         return jpeg.EncodedImage(
-            width=w,
-            height=h,
             quality_factor=qf,
             mode=mode,
-            y=np.zeros((h // 8, w // 8, 8, 8), dtype=np.int64),
-            cb=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
-            cr=np.zeros((h // (8 * fv), w // (8 * fh), 8, 8), dtype=np.int64),
+            y=np.zeros((h, w), dtype=np.int64),
+            cb=np.zeros((h // fv, w // fh), dtype=np.int64),
+            cr=np.zeros((h // fv, w // fh), dtype=np.int64),
         )
 
     def test_valid(self):
@@ -358,13 +355,33 @@ class TestEncodedImage:
         with pytest.raises(ValueError):
             enc.validate()
 
-    @pytest.mark.parametrize("extent", [16.0, np.float64(16.0)], ids=["float", "float64"])
-    def test_rejects_float_extents(self, extent):
-        for name in ("width", "height"):
-            enc = self.make()
-            setattr(enc, name, extent * (2 if name == "width" else 1))
-            with pytest.raises(ValueError, match="integers"):
-                enc.validate()
+    @pytest.mark.parametrize("name", ["y", "cb", "cr"])
+    def test_rejects_a_block_layout_plane(self, name):
+        # the (h/8, w/8, 8, 8) layout containers once held fails loudly
+        enc = self.make()
+        setattr(enc, name, jpeg.blockify(getattr(enc, name)))
+        with pytest.raises(ValueError, match=f"^{name} plane shape \\(\\d+, \\d+, 8, 8\\) is not \\(h, w\\)$"):
+            enc.check_layout()
+
+    def test_rejects_chroma_of_another_mode(self):
+        enc = self.make(mode="4:2:0")
+        enc.mode = "4:2:2"  # wants 16x16 chroma, holds 4:2:0's 8x16
+        with pytest.raises(ValueError, match="^cb plane shape \\(8, 16\\) != \\(16, 16\\)$"):
+            enc.check_layout()
+
+    def test_rejects_an_empty_y(self):
+        enc = self.make(h=0, w=0)
+        with pytest.raises(ValueError, match="^y plane shape \\(0, 0\\) is not a positive multiple"):
+            enc.check_layout()
+
+    def test_extents_follow_y(self):
+        enc = self.make(mode="4:4:4")
+        assert (enc.height, enc.width) == (16, 32)
+        enc.y = enc.cb = enc.cr = np.zeros((24, 8), dtype=np.int64)
+        assert (enc.height, enc.width) == (24, 8)
+        enc.validate()
+        with pytest.raises(AttributeError):
+            enc.width = 16
 
     def test_rejects_float_levels(self):
         enc = self.make()
@@ -374,7 +391,7 @@ class TestEncodedImage:
 
     def test_rejects_overrange_amplitude(self):
         enc = self.make(qf=50)
-        enc.y[0, 0, 0, 0] = 10_000
+        enc.y[0, 0] = 10_000
         with pytest.raises(ValueError):
             enc.validate()
 
@@ -382,7 +399,7 @@ class TestEncodedImage:
     def test_rejects_a_level_whose_amplitude_would_wrap(self, level):
         # level * q wraps around in int64; the bound must hold without forming it
         enc = self.make(qf=50)
-        enc.y[0, 0, 0, 0] = level
+        enc.y[0, 0] = level
         with pytest.raises(ValueError, match="y plane has out-of-range amplitudes"):
             enc.validate()
         with pytest.raises(ValueError, match="out-of-range amplitudes"):
@@ -438,9 +455,8 @@ class TestEncodedImage:
 
     @pytest.mark.parametrize("attr", ["width", "height"])
     def test_rejects_zero_extent(self, attr):
-        enc = self.make()
-        setattr(enc, attr, 0)
-        with pytest.raises(ValueError, match="must be positive"):
+        enc = self.make(**{attr[0]: 0})  # y plane 16x0 or 0x32, chroma to match
+        with pytest.raises(ValueError, match="is not a positive multiple of the 4:2:0 macroblock"):
             enc.check_layout()
 
     @pytest.mark.parametrize("qf", [0, 101, 75.5])
@@ -451,7 +467,6 @@ class TestEncodedImage:
             enc.check_layout()
 
     def test_rejects_unpadded_extent(self):
-        enc = self.make()
-        enc.width = 24  # not a multiple of the 4:2:0 macroblock width
-        with pytest.raises(ValueError):
+        enc = self.make(w=24)  # not a multiple of the 4:2:0 macroblock width
+        with pytest.raises(ValueError, match="macroblock"):
             enc.validate()

@@ -13,8 +13,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
-from jpeggan import codec  # noqa: E402
+from jpeggan import codec, jfif  # noqa: E402
 from jpeggan import tensor as T  # noqa: E402
+from jpeggan.jpeg import EncodedImage  # noqa: E402
 from jpeggan.tensor import Tensor  # noqa: E402
 
 
@@ -51,3 +52,16 @@ def test_patched_rebinds_and_restores():
     assert {"codec.decode_planes", "tensor.matmul"} <= names
     for (owner, attr), original in zip(targets, originals):
         assert _bound(owner, attr) is original, attr
+
+
+def test_encode_jfif_records_bytes_and_pixels():
+    # `jfif.bits_per_pixel` divides the bytes written by the pixels coded,
+    # which the tracer reads from the container's derived extents
+    planes = (np.zeros((16, 32), dtype=np.int64), np.zeros((8, 16), dtype=np.int64))
+    enc = EncodedImage(75, "4:2:0", planes[0], planes[1], planes[1])
+    with tracing.patched(tracing.Tracer()) as tracer:
+        data = jfif.encode_jfif(enc)
+    spans = [span for span in tracer.spans if span[0] == "jfif.encode_jfif"]
+    assert len(spans) == 1
+    *_, size, aux = spans[0]
+    assert (size, aux) == (len(data), 32 * 16)
