@@ -6,8 +6,8 @@ last writer winning. Every run writes a manifest (the fully resolved
 settings plus versions) next to its outputs, and touches nothing outside
 the --out directory.
 
-Exit codes: 0 success, 1 usage or configuration, 2 unreadable or malformed
-data, 3 numerical divergence.
+Exit codes: 0 success, 1 usage or configuration (a setting too large to
+allocate included), 2 unreadable or malformed data, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -316,11 +316,15 @@ def cmd_encode(args) -> int:
         except (OSError, ValueError) as e:  # read_ppm's and open()'s errors name the path
             raise DataError(str(e)) from None
         try:
-            return codec.encode_image(image, qf, mode)
+            return jfif.encode_jfif(codec.encode_image(image, qf, mode))
         except ValueError as e:
             raise DataError(f"{path}: {e}") from None
 
-    return _convert_each(args, cfg, encode, lambda enc, stem: jfif.write_jfif(enc, stem + ".jpg"))
+    def write(data, stem):
+        with open(stem + ".jpg", "wb") as fh:
+            fh.write(data)
+
+    return _convert_each(args, cfg, encode, write)
 
 
 def cmd_decode(args) -> int:
@@ -476,6 +480,9 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except MemoryError as e:  # a configured size too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 `encode_batch` / `decode_batch` are the plain-numpy reference codec used for
 real data, oracles, and the CLI. Both wrap a core on stacked level planes:
-`_encode_levels` turns a batch of same-sized images into (N, h, w) int64
+the encoder turns a batch of same-sized images into (N, h, w) int64
 quantizer levels per plane, each 8x8 block in its place in the plane, and
 `_decode_levels` turns such planes back into pixels. The encoder is two
 steps, and only the second depends on the quality factor:
@@ -115,13 +115,6 @@ def _quantize_planes(coefs, quality_factor: int) -> tuple[np.ndarray, ...]:
     return tuple(jpeg.quantize(c, jpeg.plane_table(q, c)) for c, q in zip(coefs, (ql, qc, qc)))
 
 
-def _encode_levels(images: np.ndarray, quality_factor: int, mode: str) -> tuple[np.ndarray, ...]:
-    """(N, 3, H, W) pixels in [0, 255] -> (y, cb, cr) int64 quantizer levels
-    in plane layout (N, h, w): `_encode_coefficients`, then
-    `_quantize_planes`."""
-    return _quantize_planes(_encode_coefficients(images, mode), quality_factor)
-
-
 def _sample_planes(y, cb, cr, quality_factor: int, out=(None, None, None)) -> list[np.ndarray]:
     """(N, h, w) level planes -> YCbCr sample planes at stored resolution,
     each plane's amplitudes checked first. A plane is written into its
@@ -157,8 +150,8 @@ def _decode_levels(y, cb, cr, quality_factor: int, mode: str) -> np.ndarray:
 def encode_batch(images: np.ndarray, quality_factor: int, mode: str) -> list[EncodedImage]:
     """Reference encoder: (N, 3, H, W) pixels in [0, 255] -> one container
     of quantized coefficients per image, holding its (h, w) slices of the
-    `_encode_levels` planes."""
-    levels = _encode_levels(images, quality_factor, mode)
+    (N, h, w) level planes."""
+    levels = _quantize_planes(_encode_coefficients(images, mode), quality_factor)
     return [EncodedImage(int(quality_factor), mode, *planes) for planes in zip(*levels)]
 
 

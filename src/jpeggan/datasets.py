@@ -23,7 +23,6 @@ __all__ = [
     "read_ppm",
     "write_ppm",
     "load_cifar_batch",
-    "synthetic_image",
     "synthetic_dataset",
     "load_dataset",
     "write_sample_grid",
@@ -179,17 +178,6 @@ def _render(draws, size: int, out: np.ndarray) -> None:
     img *= np.where(grid >= np.array(rows)[:, None], np.array(shades)[:, None], 1.0)[:, None, :, None]
     img += np.stack(noise)
     out[...] = np.clip(img, 0, 255, out=img)
-
-
-def synthetic_image(gen: np.random.Generator, size: int = 32) -> np.ndarray:
-    """One procedural (3, size, size) image: sky-like gradient, blobs, an edge.
-
-    Smooth regions, occluding shapes, and a hard boundary give the codec
-    both easy and hard content, roughly like a tiny photograph.
-    """
-    out = np.empty((1, 3, size, size), np.float32)
-    _render([_draws(gen, size)], size, out)
-    return out[0]
 
 
 def synthetic_dataset(seed: int, count: int, size: int = 32) -> np.ndarray:

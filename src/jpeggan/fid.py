@@ -2,9 +2,9 @@
 
 The distance is computed between Gaussians fitted to feature vectors:
 ``d = |mu_a - mu_b|^2 + tr(Ca + Cb - 2 (Ca^1/2 Cb Ca^1/2)^1/2)``.
-A `FidStats` holds one feature set's mean and unbiased covariance, and
-takes its covariance's square root once, when a distance first needs it,
-so a sweep takes its reference's root once.
+A `FidStats` holds one feature set's float64 mean and covariance, which
+`FidStats.from_features` fits, and takes the covariance's square root once,
+when `frechet_distance` first needs it, so a sweep takes its reference's root once.
 """
 
 from __future__ import annotations
@@ -27,9 +27,20 @@ __all__ = [
 
 
 class FidStats:
-    """Mean and unbiased covariance of (n, dim) feature vectors, n >= 2."""
+    """A feature set's float64 moments: mean (d,) and covariance (d, d)."""
 
-    def __init__(self, feats: np.ndarray):
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray):
+        self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+        self.covariance = np.atleast_2d(np.asarray(covariance, dtype=np.float64))
+        if self.mean.ndim != 1:
+            raise ValueError(f"mean must be 1-D, got shape {self.mean.shape}")
+        dim = self.mean.shape[0]
+        if self.covariance.shape != (dim, dim):
+            raise ValueError(f"covariance shape {self.covariance.shape} is not ({dim}, {dim})")
+
+    @classmethod
+    def from_features(cls, feats: np.ndarray) -> "FidStats":
+        """Mean and unbiased covariance of (n, dim) feature vectors, n >= 2."""
         feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] < 1:
             raise ValueError(f"expected (n, dim) features, got {feats.shape}")
@@ -38,13 +49,9 @@ class FidStats:
         count = feats.shape[0]
         if count < 2:
             raise ValueError("need at least two samples for covariance")
-        self.mean = feats.sum(axis=0) / count
-        cov = (feats.T @ feats - count * np.outer(self.mean, self.mean)) / (count - 1)
-        self.covariance = (cov + cov.T) / 2.0  # kill accumulation asymmetry
-
-    @classmethod
-    def from_features(cls, feats: np.ndarray) -> "FidStats":
-        return cls(feats)
+        mean = feats.sum(axis=0) / count
+        cov = (feats.T @ feats - count * np.outer(mean, mean)) / (count - 1)
+        return cls(mean, (cov + cov.T) / 2.0)  # kill accumulation asymmetry
 
     @cached_property
     def _covariance_root(self) -> np.ndarray:
@@ -59,26 +66,18 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * root) @ vecs.T
 
 
-def frechet_from_moments(
-    mean_a: np.ndarray,
-    cov_a: np.ndarray,
-    mean_b: np.ndarray,
-    cov_b: np.ndarray,
-) -> float:
-    mean_a = np.atleast_1d(np.asarray(mean_a, dtype=np.float64))
-    mean_b = np.atleast_1d(np.asarray(mean_b, dtype=np.float64))
-    cov_a = np.atleast_2d(np.asarray(cov_a, dtype=np.float64))
-    cov_b = np.atleast_2d(np.asarray(cov_b, dtype=np.float64))
-    return _frechet(mean_a, cov_a, _psd_sqrt(cov_a), mean_b, cov_b)
+def frechet_from_moments(mean_a, cov_a, mean_b, cov_b) -> float:
+    return frechet_distance(FidStats(mean_a, cov_a), FidStats(mean_b, cov_b))
 
 
-def _frechet(mean_a, cov_a, root_a, mean_b, cov_b) -> float:
-    """The distance from float64 moments; `root_a` is cov_a^1/2."""
-    if mean_a.shape != mean_b.shape or cov_a.shape != cov_b.shape:
+def frechet_distance(stats_a: FidStats, stats_b: FidStats) -> float:
+    """The distance between two sets' moments; `stats_a` keeps its covariance root."""
+    if stats_a.mean.shape != stats_b.mean.shape:
         raise ValueError("moment shapes disagree")
-    cross = _psd_sqrt(root_a @ cov_b @ root_a)
-    diff = mean_a - mean_b
-    positive = float(diff @ diff + np.trace(cov_a) + np.trace(cov_b))
+    root_a = stats_a._covariance_root
+    cross = _psd_sqrt(root_a @ stats_b.covariance @ root_a)
+    diff = stats_a.mean - stats_b.mean
+    positive = float(diff @ diff + np.trace(stats_a.covariance) + np.trace(stats_b.covariance))
     dist = positive - 2.0 * float(np.trace(cross))
     # Round-off in the eigensolver scales with the magnitude of the traces
     # being cancelled (rank-deficient covariances of near-identical sets hit
@@ -87,11 +86,6 @@ def _frechet(mean_a, cov_a, root_a, mean_b, cov_b) -> float:
     if dist < -1e-5 * max(1.0, positive):
         raise ValueError(f"distance computed as {dist:g}; moments are inconsistent")
     return max(dist, 0.0)
-
-
-def frechet_distance(stats_a: FidStats, stats_b: FidStats) -> float:
-    return _frechet(stats_a.mean, stats_a.covariance, stats_a._covariance_root,
-                    stats_b.mean, stats_b.covariance)
 
 
 def pixel_features(images: np.ndarray) -> np.ndarray:

@@ -260,6 +260,8 @@ def _scan_bytes(enc: EncodedImage) -> bytes:
 
 def encode_jfif(enc: EncodedImage) -> bytes:
     enc.validate()
+    if max(enc.height, enc.width) > 65535:
+        raise ValueError(f"coded width x height {enc.width}x{enc.height} exceeds SOF0's 16-bit limit of 65535")
     header = _header(enc.quality_factor, enc.height, enc.width, enc.mode)
     return b"".join(seg for _, seg in header) + _scan_bytes(enc) + b"\xff\xd9"
 

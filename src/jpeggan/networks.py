@@ -7,8 +7,9 @@ mean-pool, an 8x8-block local layer producing DCT amplitudes, and a
 quantization layer.  The paths emit (N, 1, h, w) quantizer-level planes,
 each 8x8 block in its place, the layout `jpeg.EncodedImage` holds, so
 `to_encoded_images` slices them into per-image containers as they are.
-The anchor generator wraps a trunk (a frozen copy of the generator's) in a
-parameterless tanh head scaled to [0, 255].
+The anchor generator wraps a trunk in a parameterless tanh head scaled to
+[0, 255]: pretraining trains it on the generator's own trunk, and the joint
+phase holds a frozen copy (`extract_anchor`).
 
 At 32x32 output resolution every width is halved from the 64x64 base,
 except the last residual block which keeps the base width.
@@ -41,7 +42,6 @@ __all__ = [
     "Trunk",
     "Generator",
     "AnchorGenerator",
-    "pixel_head",
     "Discriminator",
     "GeneratorOutput",
     "extract_anchor",
@@ -202,23 +202,14 @@ class Generator(Module):
         )
 
 
-def pixel_head(trunk_out: Tensor) -> Tensor:
-    """Parameterless scaled-tanh head: trunk activations -> RGB in [0, 255]."""
-    return T.scalar_mul(T.add_scalar(T.tanh(trunk_out), 1.0), 127.5)
-
-
 class AnchorGenerator(Module):
-    """The trunk plus a scaled-tanh head: latent -> RGB image in [0, 255]."""
+    """The trunk plus a parameterless scaled-tanh head: latent -> RGB in [0, 255]."""
 
     def __init__(self, trunk: Trunk):
         self.trunk = trunk
 
     def forward(self, z: Tensor) -> Tensor:
-        return pixel_head(self.trunk.forward(z))
-
-    def freeze(self) -> None:
-        for p in self.params().values():
-            p.requires_grad = False
+        return T.scalar_mul(T.add_scalar(T.tanh(self.trunk.forward(z)), 1.0), 127.5)
 
 
 def cast_params(net, dtype) -> None:
@@ -234,7 +225,8 @@ def cast_params(net, dtype) -> None:
 def extract_anchor(gen: Generator) -> AnchorGenerator:
     """Copy the generator's trunk, at its dtype, into a frozen anchor generator."""
     anchor = AnchorGenerator(copy.deepcopy(gen.trunk))
-    anchor.freeze()
+    for p in anchor.params().values():
+        p.requires_grad = False
     return anchor
 
 

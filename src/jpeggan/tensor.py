@@ -47,12 +47,12 @@ apart from in-place parameter updates performed by an optimizer between
 graph builds.
 
 A tape lives exactly as long as its output is referenced, and is freed by
-reference counting alone: no backward closure refers to its own output
-strongly (``tanh`` holds a weak reference), so the graph holds no cycle.
-Closures keep only what they cannot recompute from their inputs: ``relu``,
-``clamp`` and ``abs_`` build their mask or sign from the input when the
-backward runs, so the forward pass, with or without a tape, allocates no
-full-size mask.
+reference counting alone: every backward closure holds only its op's
+inputs, never its own output, so the graph holds no cycle. What a backward
+needs beyond its inputs it recomputes from them when it runs: ``tanh``
+takes ``tanh`` of its input again, and ``relu``, ``clamp`` and ``abs_``
+build their mask or sign, so the forward pass, with or without a tape,
+allocates no full-size mask.
 
 Shapes must match exactly for binary elementwise ops; the only implicit
 mixing allowed is scalar-with-tensor.  ``expand`` exists as the explicit
@@ -62,7 +62,6 @@ escape hatch where a broadcast is genuinely wanted (bias addition).
 from __future__ import annotations
 
 import math
-import weakref
 from contextlib import contextmanager
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -254,15 +253,11 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = _result(np.tanh(a.data), "tanh", (a,), None, check=False)
-    ref = weakref.ref(out)  # `bw` lives on `out`: a strong reference would be a cycle
-
     def bw(g):
-        y = ref()
+        y = tanh(a)  # recomputed: a closure holding its own output would be a cycle
         return (mul(g, add_scalar(scalar_mul(mul(y, y), -1.0), 1.0)),)
 
-    out._bw = bw if out.requires_grad else None
-    return out
+    return _result(np.tanh(a.data), "tanh", (a,), bw, check=False)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:

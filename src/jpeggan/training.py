@@ -505,17 +505,13 @@ def pretrain_baseline(
 ) -> list[LossReport]:
     """Plain critic-vs-pixel-generator phase that seeds the anchor.
 
-    Trains `baseline`'s trunk through its pixel head only; the coefficient
-    paths are untouched (so there is never an anchor term here).
-    `resume_from` is as for `train`.
+    Trains `networks.AnchorGenerator(baseline.trunk)`, the trunk through its
+    pixel head only; the coefficient paths are untouched (so there is never
+    an anchor term here). `resume_from` is as for `train`.
     """
-
-    def make_fake(z_t: Tensor) -> Tensor:
-        return networks.pixel_head(baseline.trunk.forward(z_t))
-
     return _run_adversarial(
-        make_fake, None, _phase_groups(baseline, disc), disc, data, cfg, streams,
-        baseline.spec.latent_dim, phase="pretrain",
+        networks.AnchorGenerator(baseline.trunk).forward, None, _phase_groups(baseline, disc),
+        disc, data, cfg, streams, baseline.spec.latent_dim, phase="pretrain",
         csv_path=csv_path, checkpoint_path=checkpoint_path, resume_from=resume_from,
     )
 
@@ -525,7 +521,7 @@ def _phase_groups(gen: networks.Generator, disc: networks.Discriminator, anchor=
     `gen/trunk.*`, and the critic; the joint phase (given `anchor`) trains
     all of `gen` and the critic and also stores the frozen anchor."""
     if anchor is None:
-        return {"gen": {f"trunk.{k}": v for k, v in gen.trunk.params().items()}, "disc": disc.params()}
+        return {"gen": networks.AnchorGenerator(gen.trunk).params(), "disc": disc.params()}
     return {"gen": gen.params(), "disc": disc.params(), "anchor": anchor.params()}
 
 

@@ -139,6 +139,19 @@ class TestConfigResolution:
         assert capsys.readouterr().err == f"error: [train] {key} must be finite\n"
         assert not out.exists()
 
+    # arrays of over 1000 TiB, past any address space: numpy refuses them at once
+    @pytest.mark.parametrize("command, old, new", [
+        ("generate", "latent_dim = 6", "latent_dim = 9999999999999"),  # the first layer's weights
+        ("pretrain", "batch_size = 4", "batch_size = 99999999999999"),  # a batch's sample indices
+    ], ids=["generate-latent_dim", "pretrain-batch_size"])
+    def test_setting_too_large_to_allocate_is_one_usage_error(self, tmp_path, capsys, command, old, new):
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text(TINY_INI.replace(old, new))
+        argv = ["--checkpoint", tmp_path / "none.params"] if command == "generate" else ["synthetic"]
+        assert run(command, *argv, "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
     def test_missing_subcommand(self):
         assert cli.main([]) == 1
 
@@ -344,7 +357,8 @@ class TestCodecCommands:
         assert err.startswith("error: ") and err.count("x.ppm") == 1, err
 
     @pytest.mark.parametrize("case", [
-        "encode-missing", "encode-truncated", "encode-rejected", "decode-missing", "decode-rejected",
+        "encode-missing", "encode-truncated", "encode-rejected", "encode-too-wide",
+        "decode-missing", "decode-rejected",
     ])
     def test_bad_input_is_one_exact_data_error(self, tmp_path, capsys, ppms, case):
         command, name, content, message = {
@@ -353,6 +367,9 @@ class TestCodecCommands:
             # maxval 1, so the sample 2 reads as 510
             "encode-rejected": ("encode", "x.ppm", b"P6\n1 1\n1\n\x02\x00\x00",
                                 "{p}: pixel values outside [0, 255]"),
+            # a valid PPM whose width SOF0 cannot hold; 4:2:0 pads its 8 rows to 16
+            "encode-too-wide": ("encode", "x.ppm", b"P6\n65536 8\n255\n" + bytes(65536 * 8 * 3),
+                                "{p}: coded width x height 65536x16 exceeds SOF0's 16-bit limit of 65535"),
             "decode-missing": ("decode", "x.jpg", None, "[Errno 2] No such file or directory: '{p}'"),
             "decode-rejected": ("decode", "x.jpg", b"\x00\x01\x02",
                                 "{p}: offset 0: SOI differs from the header jpeggan writes"),

@@ -149,7 +149,7 @@ class TestPlaneCore:
         rng = np.random.default_rng(qf)
         for (h, w), n in (((32, 32), 5), ((64, 64), 2), ((40, 24), 3), ((9, 13), 1)):
             images = rng.uniform(0.0, 255.0, (n, 3, h, w))
-            levels = codec._encode_levels(images, qf, mode)
+            levels = codec._quantize_planes(codec._encode_coefficients(images, mode), qf)
             pixels = codec._decode_levels(*levels, qf, mode)
             encs = codec.encode_batch(images, qf, mode)
             assert np.array_equal(pixels, codec.decode_batch(encs))
@@ -164,7 +164,7 @@ class TestPlaneCore:
     @pytest.mark.parametrize("plane", [0, 1, 2], ids=["y", "cb", "cr"])
     @pytest.mark.parametrize("level", [10_000, -10_000])
     def test_decode_levels_names_an_out_of_range_plane(self, corpus, plane, level):
-        levels = [lv.copy() for lv in codec._encode_levels(corpus[:2], 75, "4:2:0")]
+        levels = [lv.copy() for lv in codec._quantize_planes(codec._encode_coefficients(corpus[:2], "4:2:0"), 75)]
         levels[plane][1, 3, 5] = level
         name = ("y", "cb", "cr")[plane]
         with pytest.raises(ValueError, match=f"^{name} plane has out-of-range amplitudes$"):

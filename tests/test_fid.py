@@ -118,9 +118,28 @@ class TestStats:
             (np.full((2, 3), np.nan), "non-finite"),
         ]:
             with pytest.raises(ValueError, match=match):
-                fid.FidStats(feats)
-            with pytest.raises(ValueError, match=match):
                 fid.FidStats.from_features(feats)
+
+    def test_moments_are_float64_and_checked(self):
+        s = fid.FidStats(0.5, 2.0)
+        assert s.mean.dtype == s.covariance.dtype == np.float64
+        assert s.mean.shape == (1,) and s.covariance.shape == (1, 1)
+        for mean, cov, match in [
+            (np.zeros((1, 3)), np.eye(3), "mean must be 1-D"),
+            (np.zeros((2, 2)), np.eye(2), "mean must be 1-D"),
+            (np.zeros(3), np.eye(2), r"covariance shape \(2, 2\) is not \(3, 3\)"),
+            (np.zeros(2), np.ones((2, 3)), r"is not \(2, 2\)"),
+            (np.zeros(2), np.ones((2, 2, 1)), r"is not \(2, 2\)"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                fid.FidStats(mean, cov)
+
+    def test_moments_distance_is_the_stats_distance(self):
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        ma, ca, mb, cb = rng.normal(size=4), a @ a.T, rng.normal(size=4), b @ b.T
+        want = fid.frechet_distance(fid.FidStats(ma, ca), fid.FidStats(mb, cb))
+        assert fid.frechet_from_moments(ma, ca, mb, cb) == want
 
 
 class TestExtractorsAndSweep:
@@ -156,7 +175,8 @@ class TestExtractorsAndSweep:
                     x = np.asfortranarray(x)
                 elif layout == "cropped-decode":
                     # the sweep's crop of a decoded batch padded to 4:2:0 macroblocks
-                    decoded = codec._decode_levels(*codec._encode_levels(x, 75, "4:2:0"), 75, "4:2:0")
+                    levels = codec._quantize_planes(codec._encode_coefficients(x, "4:2:0"), 75)
+                    decoded = codec._decode_levels(*levels, 75, "4:2:0")
                     x = decoded[:, :, : 8 * ph, : 8 * pw]
                 got = fid.pixel_features(x)
                 assert got.tobytes() == mean_pool_oracle(x).tobytes(), (ph, pw)
@@ -220,7 +240,8 @@ class TestExtractorsAndSweep:
                 feats = []
                 for start in range(0, 130, fid._SWEEP_CHUNK):
                     chunk = smooth[start : start + fid._SWEEP_CHUNK]
-                    decoded = codec._decode_levels(*codec._encode_levels(chunk, qf, mode), qf, mode)
+                    levels = codec._quantize_planes(codec._encode_coefficients(chunk, mode), qf)
+                    decoded = codec._decode_levels(*levels, qf, mode)
                     feats.append(fid.pixel_features(decoded[:, :, :24, :24]))
                 stats = fid.FidStats.from_features(np.concatenate(feats))
                 want.append((qf, mode, fid.frechet_distance(reference, stats)))

@@ -271,6 +271,18 @@ class TestErrors:
         with pytest.raises(ValueError, match="offset"):
             jfif.decode_jfif(stripped)
 
+    @pytest.mark.parametrize("h, w", [(8, 65536), (65536, 8)])
+    def test_extent_beyond_sof0_is_rejected(self, h, w):
+        zeros = np.zeros((h, w), np.int64)
+        enc = EncodedImage(quality_factor=75, mode="4:4:4", y=zeros, cb=zeros, cr=zeros)
+        with pytest.raises(ValueError, match=f"^coded width x height {w}x{h} exceeds SOF0's 16-bit limit of 65535$"):
+            jfif.encode_jfif(enc)
+
+    def test_widest_sof0_extent_round_trips(self):
+        zeros = np.zeros((8, 65528), np.int64)
+        enc = EncodedImage(quality_factor=75, mode="4:4:4", y=zeros, cb=zeros, cr=zeros)
+        assert_same(jfif.decode_jfif(jfif.encode_jfif(enc)), enc)
+
     def test_extent_larger_than_scan_data(self):
         data = bytearray(jfif.encode_jfif(random_encoded(np.random.default_rng(11))))
         sof = data.index(b"\xff\xc0")

@@ -860,8 +860,9 @@ class TestMasksAtBackward:
 
 class TestTapeLifetime:
     def test_tanh_output_is_freed_without_the_cycle_collector(self):
-        # tanh's backward reads its own output; holding it weakly keeps the
-        # output and the graph above it out of a reference cycle
+        # tanh's backward recomputes tanh from its input instead of holding
+        # its own output, which keeps the output and the graph above it out
+        # of a reference cycle
         gc.disable()
         try:
             x = Tensor(np.array([0.5, -1.0]), requires_grad=True)

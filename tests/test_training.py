@@ -427,7 +427,7 @@ class TestTrainingLoops:
             )
             with T.no_grad():
                 z = np.zeros((2, gen.spec.latent_dim))
-                imgs = networks.pixel_head(gen.trunk.forward(Tensor(z))).data
+                imgs = networks.AnchorGenerator(gen.trunk).forward(Tensor(z)).data
             outs.append((reports, imgs))
             assert all(r.anchor_term == 0.0 for r in reports)
             assert imgs.min() >= 0 and imgs.max() <= 255
