@@ -7,7 +7,8 @@ settings plus versions) next to its outputs, and touches nothing outside
 the --out directory.
 
 Exit codes: 0 success, 1 usage or configuration (a setting too large to
-allocate included), 2 unreadable or malformed data, 3 numerical divergence.
+allocate, or inputs that would write one output file, included), 2
+unreadable or malformed data, 3 numerical divergence.
 """
 
 from __future__ import annotations
@@ -184,6 +185,10 @@ def _training_inputs(args, cfg):
         raise UsageError(
             [f"dataset {args.data}: {h}x{w} images, but [generator] resolution is {res}x{res}"]
         )
+    try:  # a batch too large to allocate fails here, before --out exists
+        np.empty((cfg["train"]["batch_size"], *data.shape[1:]), data.dtype)
+    except ValueError as e:  # numpy's refusal of a size past any address space
+        raise MemoryError(e) from None
     return gen, disc, data
 
 
@@ -216,7 +221,7 @@ def _run_phase(args, cfg, phase, gen, disc, anchor=None) -> int:
     resume_from = None
     if args.resume is not None:
         try:
-            resume_from = training.check_resume(args.resume, gen, disc, anchor)
+            resume_from = training.check_resume(args.resume, gen, disc, anchor, steps=cfg["train"]["steps"])
         except (OSError, ValueError) as e:
             raise DataError(f"resume checkpoint: {e}") from None
     out = _start_out(args, cfg)
@@ -298,11 +303,18 @@ def cmd_generate(args) -> int:
 
 def _convert_each(args, cfg, convert, write) -> int:
     """`convert` every input before --out exists, then `write(value, stem)`
-    one file per input, `stem` being its --out path without a suffix."""
-    converted = [(path, convert(path)) for path in args.inputs]
+    one file per input, `stem` being its --out path without a suffix. Inputs
+    whose stems are the same are a usage error, raised before any of this."""
+    stems: dict[str, list[str]] = {}
+    for path in args.inputs:
+        stems.setdefault(os.path.splitext(os.path.basename(path))[0], []).append(path)
+    clashes = [f"inputs {', '.join(paths)} would write one file" for paths in stems.values() if len(paths) > 1]
+    if clashes:
+        raise UsageError(clashes)
+    converted = [convert(path) for path in args.inputs]
     out = _start_out(args, cfg, {"inputs": list(args.inputs)})
-    for path, value in converted:
-        write(value, os.path.join(out, os.path.splitext(os.path.basename(path))[0]))
+    for stem, value in zip(stems, converted):
+        write(value, os.path.join(out, stem))
     return EXIT_OK
 
 

@@ -30,29 +30,21 @@ __all__ = [
 
 
 def _read_header_tokens(fh, count):
-    """Pull whitespace-separated header tokens, honouring '#' comments."""
-    tokens = []
+    """Pull whitespace-separated header tokens. A '#' starts a comment that
+    runs to the end of its line and ends any token it touches."""
+    tokens, tok = [], b""
     while len(tokens) < count:
         ch = fh.read(1)
-        if not ch:
-            raise ValueError("truncated header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
-            continue
-        if ch.isspace():
-            continue
-        tok = ch
-        while True:
-            ch = fh.read(1)
-            if not ch or ch.isspace():
-                break
-            if ch == b"#":  # comment glued to a token ends it
-                while ch not in (b"\n", b""):
-                    ch = fh.read(1)
-                break
+        if ch and not ch.isspace():
             tok += ch
-        tokens.append(tok)
+        elif tok:
+            tokens.append(tok)
+            tok = b""
+        elif not ch:
+            raise ValueError("truncated header")
     return tokens
 
 

@@ -8,9 +8,11 @@ operations, so gradients can be differentiated again
 (``grad(..., create_graph=True)``) — the gradient penalty used in
 adversarial training needs exactly that.
 
-A backward walk computes only the gradients that lead to a requested input:
-closures of ops with several parents take ``needs``, one flag per parent,
-and may return None in place of a gradient that is not needed.
+``grad`` walks the tape itself and computes only the gradients that lead
+to a requested input. Every backward closure is ``bw(g, needs)``, ``needs``
+one flag per parent; a closure may return None in place of a gradient that
+is not needed, and one-parent closures, reached only when their parent is
+needed, ignore it.
 
 Convolution is one kind, the "same" convolution: stride 1, odd kernel
 extents, zero padded by (k - 1)/2 on each side so the output keeps the
@@ -208,7 +210,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def add_scalar(a: Tensor, c) -> Tensor:
     c = float(c)
-    return _result(a.data + c, "add_scalar", (a,), lambda g: (g,))
+    return _result(a.data + c, "add_scalar", (a,), lambda g, needs: (g,))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -222,13 +224,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scalar_mul(a: Tensor, c) -> Tensor:
     c = float(c)
-    return _result(a.data * c, "scalar_mul", (a,), lambda g: (scalar_mul(g, c),))
+    return _result(a.data * c, "scalar_mul", (a,), lambda g, needs: (scalar_mul(g, c),))
 
 
 def pow_const(a: Tensor, p) -> Tensor:
     p = float(p)
 
-    def bw(g):
+    def bw(g, needs):
         return (scalar_mul(mul(g, pow_const(a, p - 1.0)), p),)
 
     return _result(a.data ** p, "pow_const", (a,), bw)
@@ -239,21 +241,21 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    def bw(g):
+    def bw(g, needs):
         return (mul(g, Tensor((a.data > 0).astype(a.data.dtype))),)
 
     return _result(np.maximum(a.data, 0.0), "relu", (a,), bw, check=False)
 
 
 def abs_(a: Tensor) -> Tensor:
-    def bw(g):
+    def bw(g, needs):
         return (mul(g, Tensor(np.sign(a.data))),)
 
     return _result(np.abs(a.data), "abs", (a,), bw, check=False)
 
 
 def tanh(a: Tensor) -> Tensor:
-    def bw(g):
+    def bw(g, needs):
         y = tanh(a)  # recomputed: a closure holding its own output would be a cycle
         return (mul(g, add_scalar(scalar_mul(mul(y, y), -1.0), 1.0)),)
 
@@ -263,7 +265,7 @@ def tanh(a: Tensor) -> Tensor:
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the input is inside."""
 
-    def bw(g):
+    def bw(g, needs):
         return (mul(g, Tensor(((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype))),)
 
     return _result(np.clip(a.data, lo, hi), "clamp", (a,), bw, check=False)
@@ -272,7 +274,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def round_ste(a: Tensor) -> Tensor:
     """Round half away from zero; the gradient passes straight through."""
     y = np.floor(np.abs(a.data) + 0.5) * np.sign(a.data)
-    return _result(y, "round_ste", (a,), lambda g: (g,), check=False)
+    return _result(y, "round_ste", (a,), lambda g, needs: (g,), check=False)
 
 
 # -- shape manipulation -----------------------------------------------------
@@ -282,7 +284,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     old = a.shape
 
-    def bw(g):
+    def bw(g, needs):
         return (reshape(g, old),)
 
     try:
@@ -298,7 +300,7 @@ def permute(a: Tensor, axes) -> Tensor:
         raise ShapeError(f"permute: {axes} is not a permutation of {a.ndim} axes")
     inv = tuple(np.argsort(axes))
 
-    def bw(g):
+    def bw(g, needs):
         return (permute(g, inv),)
 
     # a transposed view; anything needing contiguity copies on demand
@@ -328,21 +330,19 @@ def expand(a: Tensor, shape) -> Tensor:
     )
     old = a.shape
 
-    def bw(g):
+    def bw(g, needs):
         s = sum_axes(g, reduced) if reduced else g
         return (reshape(s, old),)
 
     return _result(data, "expand", (a,), bw, check=False)
 
 
-def sum_axes(a: Tensor, axes) -> Tensor:
-    if isinstance(axes, int):
-        axes = (axes,)
+def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(sorted(ax % a.ndim for ax in axes))
     kept = tuple(1 if i in axes else d for i, d in enumerate(a.shape))
     old = a.shape
 
-    def bw(g):
+    def bw(g, needs):
         return (expand(reshape(g, kept), old),)
 
     return _result(a.data.sum(axis=axes), "sum_axes", (a,), bw)
@@ -351,7 +351,7 @@ def sum_axes(a: Tensor, axes) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     old = a.shape
 
-    def bw(g):
+    def bw(g, needs):
         return (expand(reshape(g, (1,) * len(old)) if old else g, old),)
 
     return _result(np.asarray(a.data.sum(), dtype=a.data.dtype), "sum", (a,), bw)
@@ -362,33 +362,21 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat of nothing")
-    axis = axis % tensors[0].ndim
-    for t in tensors[1:]:
-        if t.ndim != tensors[0].ndim:
-            raise ShapeError("concat: rank mismatch")
-        for i, (d0, d1) in enumerate(zip(tensors[0].shape, t.shape)):
-            if i != axis and d0 != d1:
-                raise ShapeError("concat: non-axis extents differ")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=int(axis))
+    except ValueError as e:  # numpy's AxisError is a ValueError too
+        raise ShapeError(str(e)) from None
+    axis = int(axis) % data.ndim
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def bw(g, needs=None):  # a one-tensor concat is walked without `needs`
+    def bw(g, needs):
         return tuple(
-            slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1]))
-            if needs is None or needs[i] else None
-            for i in range(len(sizes))
+            slice_axis(g, axis, int(offsets[i]), int(offsets[i + 1])) if need else None
+            for i, need in enumerate(needs)
         )
 
-    return _result(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        "concat",
-        tuple(tensors),
-        bw,
-        check=False,
-    )
+    return _result(data, "concat", tensors, bw, check=False)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -398,7 +386,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
     full = a.shape
 
-    def bw(g):
+    def bw(g, needs):
         return (embed_axis(g, axis, start, full),)
 
     return _result(a.data[idx], "slice_axis", (a,), bw, check=False)
@@ -413,7 +401,7 @@ def embed_axis(a: Tensor, axis: int, start: int, full_shape) -> Tensor:
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
     out[idx] = a.data
 
-    def bw(g):
+    def bw(g, needs):
         return (slice_axis(g, axis, start, stop),)
 
     return _result(out, "embed_axis", (a,), bw, check=False)
@@ -526,7 +514,7 @@ def flip2d(a: Tensor) -> Tensor:
     """Reverse both spatial axes of an NCHW (or OIHW) tensor; self-adjoint."""
     if a.ndim != 4:
         raise ShapeError("flip2d expects NCHW")
-    return _result(a.data[:, :, ::-1, ::-1], "flip2d", (a,), lambda g: (flip2d(g),), check=False)
+    return _result(a.data[:, :, ::-1, ::-1], "flip2d", (a,), lambda g, needs: (flip2d(g),), check=False)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -572,7 +560,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         d_w = conv2d_weight(x, g, kh, kw) if needs[1] else None
         if b is None:
             return d_x, d_w
-        d_b = sum_axes(reshape(permute(g, (1, 0, 2, 3)), (O, N * L)), 1) if needs[2] else None
+        d_b = sum_axes(reshape(permute(g, (1, 0, 2, 3)), (O, N * L)), (1,)) if needs[2] else None
         return d_x, d_w, d_b
 
     parents = (x, w) if b is None else (x, w, b)
@@ -635,7 +623,7 @@ def avg_pool2d(a: Tensor, kh: int, kw: int) -> Tensor:
     else:  # nothing was summed: `data` is a view of the input
         data = data.copy(order="K")
 
-    def bw(g):
+    def bw(g, needs):
         return (upsample_repeat2d(scalar_mul(g, 1.0 / (kh * kw)), kh, kw),)
 
     return _result(data, "avg_pool2d", (a,), bw)
@@ -660,7 +648,7 @@ def upsample_repeat2d(a: Tensor, kh: int, kw: int) -> Tensor:
     if kh > 1:
         data = np.repeat(data, kh, axis=2)
 
-    def bw(g):
+    def bw(g, needs):
         return (scalar_mul(avg_pool2d(g, kh, kw), float(kh * kw)),)
 
     return _result(data, "upsample_repeat2d", (a,), bw, check=False)
@@ -688,20 +676,26 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents before children
 
 
-def _walk(
-    output: Tensor, order: list[Tensor], targets: set[int], create_graph: bool
-) -> dict[int, Tensor]:
-    """Gradients of `output` for the nodes on a path to a `targets` id.
+def grad(
+    output: Tensor,
+    inputs: Iterable[Tensor],
+    create_graph: bool = False,
+    allow_unused: bool = False,
+) -> list[Tensor]:
+    """Return d(output)/d(input) for each input, as tensors.
 
-    `order` is `_toposort(output)`. A node is needed when it is a target or
-    one of its parents is needed; gradients are computed and stored for
-    needed nodes only.
+    A node is needed when it is an input or one of its parents is needed;
+    gradients are computed and stored for needed nodes only. With
+    ``create_graph=True`` the returned gradients carry their own tape, so
+    they can be differentiated again.  The forward graph is left intact.
     """
+    inputs = list(inputs)
     if output.size != 1:
         raise GraphError("backward needs a scalar loss")
     if output._bw is None and not output.requires_grad:
         raise GraphError("loss is not part of the recorded graph")
-    needed = set(targets)
+    order = _toposort(output)
+    needed = {id(t) for t in inputs}
     for node in order:  # parents before children
         if any(id(p) in needed for p in node._parents):
             needed.add(id(node))
@@ -716,30 +710,11 @@ def _walk(
             needs = tuple(id(p) in needed for p in node._parents)
             if not any(needs):
                 continue
-            # a node with one parent is only reached when that parent is needed
-            parent_grads = node._bw(g, needs) if len(needs) > 1 else node._bw(g)
-            for p, pg, need in zip(node._parents, parent_grads, needs):
+            for p, pg, need in zip(node._parents, node._bw(g, needs), needs):
                 if pg is None or not need:
                     continue
                 prev = grads.get(id(p))
                 grads[id(p)] = pg if prev is None else add(prev, pg)
-    return grads
-
-
-def grad(
-    output: Tensor,
-    inputs: Iterable[Tensor],
-    create_graph: bool = False,
-    allow_unused: bool = False,
-) -> list[Tensor]:
-    """Return d(output)/d(input) for each input, as tensors.
-
-    With ``create_graph=True`` the returned gradients carry their own tape,
-    so they can be differentiated again.  The forward graph is left intact.
-    """
-    inputs = list(inputs)
-    order = _toposort(output)
-    grads = _walk(output, order, {id(t) for t in inputs}, create_graph)
     out = []
     for t in inputs:
         g = grads.get(id(t))

@@ -303,23 +303,25 @@ def save_checkpoint(path, step: int, groups: dict[str, dict[str, Tensor]], optim
     networks.save_params(path, _layout(step, groups, optimizers))
 
 
-def _check_arrays(arrays: dict[str, np.ndarray], live: dict[str, np.ndarray]) -> None:
+def _check_arrays(arrays: dict[str, np.ndarray], live: dict[str, np.ndarray], steps: int | None = None) -> None:
     """Raise ValueError unless every key of `live` is in checkpoint
-    `arrays` in its shape."""
+    `arrays` in its shape and, given `steps`, its step is not past `steps`."""
     for key, a in live.items():
         if key not in arrays:
             raise ValueError(f"checkpoint missing {key}")
         if arrays[key].shape != a.shape:
             raise ValueError(f"{key}: shape {arrays[key].shape} != {a.shape}")
+    if steps is not None and int(arrays["step"]) > steps:
+        raise ValueError(f"step {int(arrays['step'])} is past the {steps} steps to run")
 
 
-def _load_arrays(arrays: dict[str, np.ndarray], groups, optimizers: dict[str, Adam]) -> int:
+def _load_arrays(arrays: dict[str, np.ndarray], groups, optimizers: dict[str, Adam], steps: int | None = None) -> int:
     """Load `groups` and `optimizers` in place from checkpoint `arrays` and
-    return its step; arrays that lack a key or hold one in another shape
-    change nothing. Once loaded, `arrays` is emptied, so that no copy of the
-    checkpoint outlives the load."""
+    return its step; arrays that `_check_arrays` rejects (given `steps`)
+    change nothing. Once loaded, `arrays` is emptied, so that no copy of
+    the checkpoint outlives the load."""
     live = _layout(0, groups, optimizers)
-    _check_arrays(arrays, live)
+    _check_arrays(arrays, live, steps)
     for key, a in live.items():
         a[...] = arrays[key]
     arrays.clear()
@@ -333,14 +335,16 @@ def load_checkpoint(path, groups: dict[str, dict[str, Tensor]], optimizers: dict
     return _load_arrays(networks.load_params(path), groups, optimizers)
 
 
-def check_resume(path, gen: networks.Generator, disc: networks.Discriminator, anchor=None) -> dict[str, np.ndarray]:
+def check_resume(
+    path, gen: networks.Generator, disc: networks.Discriminator, anchor=None, *, steps: int
+) -> dict[str, np.ndarray]:
     """Read checkpoint `path` and return its arrays, for `resume_from`;
-    raise OSError or ValueError unless `train` (given `anchor`) or
-    `pretrain_baseline` (without) can resume from it. Nothing is loaded
-    into the networks."""
+    raise OSError or ValueError unless a `train` (given `anchor`) or
+    `pretrain_baseline` (without) run of `steps` steps can resume from it.
+    Nothing is loaded into the networks."""
     groups = _phase_groups(gen, disc, anchor)
     arrays = networks.load_params(path)
-    _check_arrays(arrays, _layout(0, groups, _optimizers(groups, TrainConfig())))
+    _check_arrays(arrays, _layout(0, groups, _optimizers(groups, TrainConfig())), steps)
     return arrays
 
 
@@ -394,7 +398,7 @@ def _run_adversarial(
     gen_params, disc_params = groups["gen"], groups["disc"]
     optimizers = _optimizers(groups, cfg)
     opt_g, opt_d = optimizers["adam_g"], optimizers["adam_d"]
-    start_step = 0 if resume_from is None else _load_arrays(resume_from, groups, optimizers)
+    start_step = 0 if resume_from is None else _load_arrays(resume_from, groups, optimizers, cfg.steps)
     log = _CsvLog(csv_path, start_step)
     reports: list[LossReport] = []
     last_checkpoint = start_step if start_step > 0 else None

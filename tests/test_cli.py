@@ -142,8 +142,10 @@ class TestConfigResolution:
     # arrays of over 1000 TiB, past any address space: numpy refuses them at once
     @pytest.mark.parametrize("command, old, new", [
         ("generate", "latent_dim = 6", "latent_dim = 9999999999999"),  # the first layer's weights
-        ("pretrain", "batch_size = 4", "batch_size = 99999999999999"),  # a batch's sample indices
-    ], ids=["generate-latent_dim", "pretrain-batch_size"])
+        ("pretrain", "batch_size = 4", "batch_size = 99999999999999"),  # one batch of images
+        ("pretrain", "batch_size = 4", "batch_size = 10000000000000000"),  # bytes past int64
+        ("pretrain", "batch_size = 4", "batch_size = 10000000000000000000"),  # an extent past int64
+    ], ids=["generate-latent_dim", "pretrain-batch_size", "pretrain-batch-bytes", "pretrain-batch-extent"])
     def test_setting_too_large_to_allocate_is_one_usage_error(self, tmp_path, capsys, command, old, new):
         cfg = tmp_path / "huge.ini"
         cfg.write_text(TINY_INI.replace(old, new))
@@ -151,6 +153,7 @@ class TestConfigResolution:
         assert run(command, *argv, "--config", cfg, "--out", tmp_path / "out") == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand(self):
         assert cli.main([]) == 1
@@ -214,6 +217,21 @@ class TestTrainingCommands:
         checkpoint = first / "checkpoint.params"
         assert run(command, *base, "--steps", 3, "--resume", checkpoint, "--out", tmp_path / "resumed") == 0
         assert reads == [str(checkpoint)]
+
+    def test_resume_past_steps_is_one_data_error(self, tmp_path, tiny_config, capsys):
+        base = ("pretrain", "synthetic", "--config", tiny_config, "--seed", 3)
+        first = tmp_path / "first"
+        assert run(*base, "--steps", 5, "--out", first) == 0
+        checkpoint = first / "checkpoint.params"
+        saved = checkpoint.read_bytes()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*base, "--steps", 2, "--resume", checkpoint, "--out", out) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: resume checkpoint: step 5 is past the 2 steps to run\n"
+        assert not out.exists()
+        # a run that ends where its checkpoint was saved has nothing to do
+        assert run(*base, "--steps", 5, "--resume", checkpoint, "--out", out) == 0
+        assert (out / "checkpoint.params").read_bytes() == saved
 
     def test_train_requires_exactly_one_source(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "out"
@@ -391,6 +409,27 @@ class TestCodecCommands:
         path = tmp_path / name
         assert run(command, path, "--out", tmp_path / "o") == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_inputs_that_would_write_one_file_are_a_usage_error(self, tmp_path, capsys, ppms, command):
+        inputs = []
+        for sub in ("a", "b"):
+            path = tmp_path / sub / ("x.ppm" if command == "encode" else "x.jpg")
+            path.parent.mkdir()
+            if command == "encode":
+                shutil.copyfile(ppms[0], path)
+            else:
+                jfif.write_jfif(codec.encode_image(datasets.read_ppm(str(ppms[0])), 75, "4:2:0"), str(path))
+            inputs.append(path)
+        out = tmp_path / "o"
+        assert run(command, inputs[0], ppms[1] if command == "encode" else inputs[0], inputs[1],
+                   "--out", out) == cli.EXIT_USAGE
+        if command == "encode":
+            want = f"error: inputs {inputs[0]}, {inputs[1]} would write one file\n"
+        else:  # the same path given twice counts too
+            want = f"error: inputs {inputs[0]}, {inputs[0]}, {inputs[1]} would write one file\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
     def test_decode_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jpg"

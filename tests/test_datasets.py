@@ -29,6 +29,24 @@ class TestPpm:
         assert img.shape == (1, 2, 3)
         assert img[0, 1, 2] == 5.0
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n2#c\n1\n255\n",  # a comment glued to a token ends it
+        b"P6\n2 1\n255#c\n",  # the raster starts after the comment's line
+        b"P6\t2\r1\t\r255\r",  # tab and CR separate like spaces
+    ], ids=["comment-glued", "comment-after-maxval", "tab-and-cr"])
+    def test_header_forms(self, tmp_path, header):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(header + bytes(range(2 * 1 * 3)))
+        img = datasets.read_ppm(path)
+        assert img.shape == (1, 2, 3)
+        assert np.array_equal(img, np.arange(6.0).reshape(1, 2, 3))
+
+    def test_header_cut_inside_a_comment(self, tmp_path):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(b"P6\n2 1\n# the maxval never comes")
+        with pytest.raises(ValueError, match=r"bad header: truncated header$"):
+            datasets.read_ppm(path)
+
     def test_maxval_rescale(self, tmp_path):
         path = tmp_path / "m.ppm"
         path.write_bytes(b"P6\n1 1\n100\n" + bytes([0, 50, 100]))

@@ -189,6 +189,30 @@ class TestForward:
         c = T.concat([Tensor(a), Tensor(b)], axis=1)
         assert np.allclose(T.slice_axis(c, 1, 3, 5).data, b)
 
+    @pytest.mark.parametrize("shapes, axis", [
+        ([], 0),  # nothing to join
+        ([(2, 3), (2, 3, 1)], 0),  # ranks differ
+        ([(2, 3), (4, 2)], 1),  # a non-axis extent differs
+        ([(), ()], 0),  # 0-d tensors have no axis
+        ([(1, 2, 3, 4), (1, 2, 3, 4)], 5),  # past the last axis
+        ([(1, 2, 3, 4), (1, 2, 3, 4)], -5),  # before the first
+    ])
+    def test_concat_rejects_shapes_numpy_rejects(self, shapes, axis):
+        with pytest.raises(T.ShapeError):
+            T.concat([Tensor(np.zeros(s)) for s in shapes], axis=axis)
+
+    def test_concat_negative_axis_and_its_backward(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        c = T.concat([a, b], axis=-1)
+        assert np.array_equal(c.data, np.concatenate([a.data, b.data], axis=1))
+        weights = Tensor(np.arange(10.0).reshape(2, 5))
+        da, db = T.grad(T.sum_all(T.mul(c, weights)), [a, b])
+        assert np.array_equal(da.data, weights.data[:, :3])
+        assert np.array_equal(db.data, weights.data[:, 3:])
+        (da_only,) = T.grad(T.sum_all(T.concat([a], axis=0)), [a])  # one parent
+        assert np.array_equal(da_only.data, np.ones((2, 3)))
+
     def test_requires_grad_propagates(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3))
@@ -816,7 +840,7 @@ def _eager_mask_op(name, a, lo=-1.0, hi=1.0):
         y, mask = np.abs(x), np.sign(x)
     else:
         y, mask = np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(x.dtype)
-    return T._result(y, name, (a,), lambda g: (T.mul(g, Tensor(mask)),), check=False)
+    return T._result(y, name, (a,), lambda g, needs: (T.mul(g, Tensor(mask)),), check=False)
 
 
 class TestMasksAtBackward:

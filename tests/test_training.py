@@ -363,7 +363,7 @@ class TestTrainingLoops:
             training.train(
                 gen_b, anchor_b, disc_b, data, cfg(2), RngStreams(9), checkpoint_path=ckpt
             )
-            arrays = training.check_resume(ckpt, gen_b, disc_b, anchor_b)
+            arrays = training.check_resume(ckpt, gen_b, disc_b, anchor_b, steps=4)
             resumed = training.train(
                 gen_b, anchor_b, disc_b, data, cfg(4), RngStreams(9), resume_from=arrays
             )
@@ -386,18 +386,36 @@ class TestTrainingLoops:
         training.train(gen, anchor, disc, data, self.small_cfg(steps=1), RngStreams(9),
                        csv_path=log, checkpoint_path=older)
         training.train(gen, anchor, disc, data, self.small_cfg(steps=3), RngStreams(9),
-                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor))  # logs 1, 2
+                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor, steps=3))  # logs 1, 2
         gen, anchor, disc = build_nets(5)
         training.train(gen, anchor, disc, data, self.small_cfg(steps=4), RngStreams(9),
-                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor))
+                       csv_path=log, resume_from=training.check_resume(older, gen, disc, anchor, steps=4))
         assert log.read_bytes() == full.read_bytes()
+
+    def test_resume_past_steps_changes_nothing(self, tmp_path):
+        gen, _, disc = build_nets(5)
+        ckpt, log = tmp_path / "ck.params", tmp_path / "log.csv"
+        training.pretrain_baseline(gen, disc, self.data(), self.small_cfg(steps=3), RngStreams(9),
+                                   checkpoint_path=ckpt)
+        with pytest.raises(ValueError, match="step 3 is past the 2 steps to run"):
+            training.check_resume(ckpt, gen, disc, steps=2)
+        arrays = training.check_resume(ckpt, gen, disc, steps=3)  # a run that ends where it was saved
+        before = {k: p.data.copy() for k, p in {**gen.params(), **disc.params()}.items()}
+        saved = ckpt.read_bytes()
+        with pytest.raises(ValueError, match="step 3 is past the 2 steps to run"):
+            training.pretrain_baseline(gen, disc, self.data(), self.small_cfg(steps=2), RngStreams(9),
+                                       csv_path=log, checkpoint_path=ckpt, resume_from=arrays)
+        after = {**gen.params(), **disc.params()}
+        assert all(np.array_equal(before[k], after[k].data) for k in before)
+        assert not log.exists() and ckpt.read_bytes() == saved
+        assert len(arrays) == len(training.check_resume(ckpt, gen, disc, steps=3))  # nothing was loaded
 
     def test_resume_frees_the_checkpoint_before_step_0(self, tmp_path, monkeypatch):
         gen, _, disc = build_nets(5)
         ckpt = tmp_path / "ck.params"
         training.pretrain_baseline(gen, disc, self.data(), self.small_cfg(steps=1), RngStreams(9),
                                    checkpoint_path=ckpt)
-        arrays = training.check_resume(ckpt, gen, disc)
+        arrays = training.check_resume(ckpt, gen, disc, steps=2)
         refs = [weakref.ref(a) for a in arrays.values()]
         alive = []
         monkeypatch.setattr(training, "_keep_freed_memory", lambda: alive.append(sum(r() is not None for r in refs)))
@@ -473,7 +491,7 @@ class TestTrainingLoops:
         opts = {"adam_g": training.Adam(gen.params(), 1e-4), "adam_d": training.Adam(disc.params(), 3e-4)}
         training.save_checkpoint(path, 3, training._phase_groups(gen, disc, anchor), opts)
         gen2, anchor2, disc2 = build_nets(99)
-        training.check_resume(path, gen2, disc2, anchor2)  # the unedited file is whole
+        training.check_resume(path, gen2, disc2, anchor2, steps=3)  # the unedited file is whole
 
         arrays = networks.load_params(str(path))
         action, prefix = edit.split()
@@ -484,7 +502,7 @@ class TestTrainingLoops:
             arrays[key] = np.zeros((2, 3))
         networks.save_params(str(path), arrays)
         with pytest.raises(ValueError, match=re.escape(key)):
-            training.check_resume(path, gen2, disc2, anchor2)
+            training.check_resume(path, gen2, disc2, anchor2, steps=3)
         groups2 = training._phase_groups(gen2, disc2, anchor2)
         opts2 = {"adam_g": training.Adam(gen2.params(), 1e-4), "adam_d": training.Adam(disc2.params(), 3e-4)}
         for opt in opts2.values():
